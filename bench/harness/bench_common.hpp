@@ -18,6 +18,7 @@
 #include "graph/graph_stats.hpp"
 #include "graphchi/engine.hpp"
 #include "grafboost/engine.hpp"
+#include "metrics/json_export.hpp"
 #include "metrics/report.hpp"
 
 namespace mlvc::bench {
@@ -59,34 +60,6 @@ using StepCallback = std::function<bool(const core::SuperstepStats&)>;
 
 inline bool always_continue(const core::SuperstepStats&) { return true; }
 
-/// FNV-1a over the raw bytes of a final vertex-value array. Lets ablation
-/// variants assert "identical results" in one table cell.
-template <typename Value>
-std::uint64_t hash_values(const std::vector<Value>& values) {
-  std::uint64_t h = 1469598103934665603ull;
-  const auto* bytes = reinterpret_cast<const unsigned char*>(values.data());
-  for (std::size_t i = 0; i < values.size() * sizeof(Value); ++i) {
-    h ^= bytes[i];
-    h *= 1099511628211ull;
-  }
-  return h;
-}
-
-/// Same hash, streamed from the engine's value store in chunks — no O(V)
-/// materialization.
-template <typename Engine>
-std::uint64_t hash_engine_values(const Engine& engine) {
-  std::uint64_t h = 1469598103934665603ull;
-  engine.for_each_value_chunk([&](VertexId, auto chunk) {
-    const auto* bytes = reinterpret_cast<const unsigned char*>(chunk.data());
-    for (std::size_t i = 0; i < chunk.size_bytes(); ++i) {
-      h ^= bytes[i];
-      h *= 1099511628211ull;
-    }
-  });
-  return h;
-}
-
 template <core::VertexApp App>
 core::RunStats run_mlvc(const Dataset& data, App app, const ScaledConfig& cfg,
                         const StepCallback& cb = always_continue,
@@ -107,7 +80,11 @@ core::RunStats run_mlvc(const Dataset& data, App app, const ScaledConfig& cfg,
   const double build_s = build.elapsed_seconds();
   auto stats = engine.run_with_callback(cb);
   stats.build_seconds = build_s;
-  if (values_hash != nullptr) *values_hash = hash_engine_values(engine);
+  // FNV-1a of the final values, so ablation variants can assert identical
+  // results in one table cell.
+  if (values_hash != nullptr) {
+    *values_hash = metrics::streamed_values_hash(engine);
+  }
   return stats;
 }
 

@@ -604,6 +604,8 @@ class MultiLogVCEngine {
                        ? ctx->shared_cache()->register_query(
                              options_.adjacency_cache_bytes)
                        : ssd::PageCache::QueryRegistration{}),
+        blob_scope_(ctx != nullptr ? &graph.storage() : nullptr,
+                    blob_prefix_),
         async_io_(options_.enable_pipeline && options_.io_threads > 0
                       ? std::make_unique<ssd::AsyncIo>(options_.io_threads)
                       : nullptr),
@@ -1731,11 +1733,15 @@ class MultiLogVCEngine {
   }
 
   /// Pipeline stage 2 output: one active-vertex batch's adjacency and
-  /// gathered values, ready for compute.
+  /// gathered values, ready for compute. `vals` keeps the gather's span
+  /// buffers: compute updates them in place and the write-back writes them
+  /// without re-reading — safe because batches are disjoint ascending
+  /// vertex slices, so no other batch writes inside a span between its
+  /// gather and its write-back (the invariant prefetch already relies on).
   struct BatchData {
     std::vector<VertexId> ids;
     AdjacencyBatch adj;
-    std::vector<Value> vals;
+    typename VertexValueStore<Value>::Spans vals;
   };
 
   BatchData load_batch(IntervalId interval,
@@ -1744,7 +1750,7 @@ class MultiLogVCEngine {
     data.ids.resize(batch.size());
     for (std::size_t k = 0; k < batch.size(); ++k) data.ids[k] = batch[k].v;
     loader_.load(interval, data.ids, data.adj);
-    data.vals = values_.gather(data.ids);
+    data.vals = values_.gather_spans(data.ids);
     return data;
   }
 
@@ -1836,9 +1842,10 @@ class MultiLogVCEngine {
                      DynamicBitset& active_now,
                      std::uint64_t& edge_log_hits) {
     AdjacencyBatch& adj = data.adj;
-    std::vector<Value>& vals = data.vals;
+    auto& vals = data.vals;
     edge_log_hits += adj.edge_log_hits;
     std::vector<std::uint8_t> deactivated(batch.size(), 0);
+    std::vector<std::uint8_t> dirty(batch.size(), 0);
     std::vector<std::uint8_t> broadcast_flag;
     std::vector<Message> broadcast_msgs;
     if (capture_broadcasts_) {
@@ -1859,7 +1866,10 @@ class MultiLogVCEngine {
       const MessageRange<Message> msgs = MessageRange<Message>::from_records(
           std::span<const Rec>(records.data() + av.rec_begin, av.rec_count));
       app_.process(ctx, msgs);
-      vals[k] = ctx.current_value();
+      if (ctx.value_dirty()) {
+        vals[k] = ctx.current_value();
+        dirty[k] = 1;
+      }
       deactivated[k] = ctx.deactivated() ? 1 : 0;
       if (capture_broadcasts_ && ctx.broadcast_set()) {
         broadcast_flag[k] = 1;
@@ -1903,7 +1913,7 @@ class MultiLogVCEngine {
     }
     {
       ScopedAccumulator io_time(step_io_seconds_);
-      values_.scatter(data.ids, vals);
+      values_.write_back(data.ids, vals, dirty);
     }
     if (capture_broadcasts_) {
       // §4e: persist this batch's captured broadcasts (ascending vertex ids,
@@ -1944,6 +1954,10 @@ class MultiLogVCEngine {
   std::string blob_prefix_ = "mlvc";
   BudgetLease budget_lease_;
   ssd::PageCache::QueryRegistration cache_reg_;
+  /// Context mode: removes this query's "q<id>/" blobs. Declared before the
+  /// I/O threads and every store writing those blobs, so it runs after
+  /// they are gone (background evictions drained).
+  QueryBlobScope blob_scope_;
   /// Pipeline I/O threads; null = serial execution. Declared before store_
   /// (whose config borrows the pool and whose destructor waits on pending
   /// background evictions) so it outlives every user.

@@ -2,6 +2,7 @@
 #include <unordered_map>
 
 #include <algorithm>
+#include <tuple>
 
 namespace mlvc::core {
 
@@ -84,58 +85,16 @@ void GraphLoaderUnit::load_from_csr(IntervalId interval,
                                     std::span<const VertexId> csr_vertices,
                                     std::span<const std::size_t> result_slots,
                                     AdjacencyBatch& out) {
-  const auto& intervals = graph_.intervals();
-  const VertexId interval_begin = intervals.begin(interval);
   const std::size_t page_size = graph_.storage().page_size();
 
-  // ---- 1. Row pointers, in coalesced windows -----------------------------
-  // Consecutive actives whose row-pointer entries are within one page of
-  // each other share a window; a gap larger than a page starts a new one.
-  // All windows go to storage as one vectored read.
-  const std::size_t rowptr_gap = page_size / sizeof(EdgeIndex);
+  // ---- 1. Adjacency, page-merged vectored reads ---------------------------
+  // Each vertex's edge range comes from the graph's resident row offsets,
+  // so no row-pointer page is read.
   std::vector<EdgeIndex> lo(csr_vertices.size());
   std::vector<EdgeIndex> hi(csr_vertices.size());
-  struct Window {
-    std::size_t first_j = 0;  // csr_vertices index range [first_j, end_j)
-    std::size_t end_j = 0;
-    std::size_t buf_off = 0;  // offset into the shared window buffer
-  };
-  std::vector<Window> windows;
-  std::size_t rowptr_total = 0;
-  std::size_t run_start = 0;
-  for (std::size_t k = 1; k <= csr_vertices.size(); ++k) {
-    if (k < csr_vertices.size() &&
-        csr_vertices[k] - csr_vertices[k - 1] <= rowptr_gap) {
-      continue;
-    }
-    // +1 vertex, +1 closing entry
-    const std::size_t count = csr_vertices[k - 1] - csr_vertices[run_start] + 2;
-    windows.push_back({run_start, k, rowptr_total});
-    rowptr_total += count;
-    run_start = k;
+  for (std::size_t j = 0; j < csr_vertices.size(); ++j) {
+    std::tie(lo[j], hi[j]) = graph_.local_edge_range(interval, csr_vertices[j]);
   }
-  std::vector<EdgeIndex> window_buf(rowptr_total);
-  {
-    std::vector<graph::StoredCsrGraph::ElemRange> ranges;
-    ranges.reserve(windows.size());
-    for (const Window& w : windows) {
-      const VertexId local_first = csr_vertices[w.first_j] - interval_begin;
-      const VertexId local_last = csr_vertices[w.end_j - 1] - interval_begin;
-      ranges.push_back({local_first, local_last + 2,
-                        window_buf.data() + w.buf_off});
-    }
-    graph_.read_local_row_ptrs_multi(interval, ranges);
-  }
-  for (const Window& w : windows) {
-    const VertexId first = csr_vertices[w.first_j];
-    for (std::size_t j = w.first_j; j < w.end_j; ++j) {
-      const VertexId local = csr_vertices[j] - first;
-      lo[j] = window_buf[w.buf_off + local];
-      hi[j] = window_buf[w.buf_off + local + 1];
-    }
-  }
-
-  // ---- 2. Adjacency, page-merged vectored reads ---------------------------
   // Merge consecutive vertices' [lo, hi) byte ranges whenever the next range
   // starts on (or before) the page the previous one ends on: those pages
   // must be fetched anyway, so one contiguous read covers them without
@@ -158,7 +117,7 @@ void GraphLoaderUnit::load_from_csr(IntervalId interval,
   };
   std::vector<Run> runs;
   std::size_t adj_total = 0;
-  run_start = 0;
+  std::size_t run_start = 0;
   for (std::size_t k = 1; k <= csr_vertices.size(); ++k) {
     if (k < csr_vertices.size() && start_page(k) <= end_page(k - 1)) {
       continue;  // same page chain — extend the run
@@ -220,7 +179,7 @@ void GraphLoaderUnit::load_from_csr(IntervalId interval,
     }
   }
 
-  // ---- 3. Start-page utilization for the edge-log decision ----------------
+  // ---- 2. Start-page utilization for the edge-log decision ----------------
   // Query the tracker *after* all recording above so a page shared by
   // several actives reflects their combined utilization.
   if (util_tracker_ != nullptr) {

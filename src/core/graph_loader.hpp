@@ -1,11 +1,13 @@
 // The Graph Loader Unit (§V.B.2 of the paper).
 //
 // Given the ascending list of active vertices inside one vertex interval,
-// fetch exactly the row-pointer and adjacency pages those vertices need:
+// fetch exactly the adjacency pages those vertices need:
 //
-//  * row pointers are read in coalesced windows ("loops over the row pointer
-//    array for the range of vertices in the active vertex list, each time
-//    fetching vertices that can fit in the graph data row pointer buffer");
+//  * each vertex's edge range comes from the stored graph's resident row
+//    offsets, so no row-pointer page is read (the paper loops over the
+//    row-pointer array in buffer-sized windows; keeping the 8 B/vertex
+//    offsets in memory, as FlashGraph keeps its edge-list index, saves
+//    those reads at the cost of the degree array they replace);
 //  * adjacency ranges of vertices that share an SSD page are merged into a
 //    single read, so a page holding five active vertices' edges is fetched
 //    once — this is where CSR beats shards when the active set shrinks;
@@ -80,7 +82,7 @@ class GraphLoaderUnit {
 
   /// Bytes load() would move for vertex v if served from the CSR (adjacency
   /// plus the weight column when configured). Pure arithmetic over the
-  /// resident degree array — no storage touched — which keeps it cheap
+  /// resident row offsets — no storage touched — which keeps it cheap
   /// enough for per-vertex batch sizing and per-interval scheduling
   /// priorities. Edge-log residency can only shrink the real cost, so this
   /// is a stable upper bound.

@@ -142,6 +142,32 @@ class SnapshotTable {
   std::atomic<std::uint64_t> epoch_{0};
 };
 
+/// Owns a context-mode query's "q<id>/" blob namespace: destruction removes
+/// every blob still under it (values, multi-log, edge-log and broadcast
+/// blobs, a checkpoint image a failed save left staged), closing their file
+/// descriptors. A checkpoint the SnapshotTable published was renamed out of
+/// the namespace and survives. A null storage owns nothing (one-shot
+/// engines keep their blobs).
+class QueryBlobScope {
+ public:
+  QueryBlobScope(ssd::Storage* storage, std::string prefix)
+      : storage_(storage), prefix_(std::move(prefix)) {}
+  ~QueryBlobScope() {
+    if (storage_ == nullptr) return;
+    try {
+      storage_->remove_blobs_under(prefix_);
+    } catch (...) {
+      // Blobs left behind cost descriptors and disk, never correctness.
+    }
+  }
+  QueryBlobScope(const QueryBlobScope&) = delete;
+  QueryBlobScope& operator=(const QueryBlobScope&) = delete;
+
+ private:
+  ssd::Storage* storage_;
+  std::string prefix_;
+};
+
 /// Cross-query aggregates the context accumulates from per-query RunStats.
 struct ContextAggregates {
   std::uint64_t queries_completed = 0;

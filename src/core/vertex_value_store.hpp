@@ -59,34 +59,89 @@ class VertexValueStore {
 
   VertexId num_vertices() const noexcept { return num_vertices_; }
 
+  /// What gather_spans() read: every coalesced run's span (its requested
+  /// vertices plus the gap vertices between them), concatenated, and where
+  /// requested vertex k sits in it. Callers read and update values in place
+  /// through operator[]; write_back() then writes the spans of the updated
+  /// vertices straight from these buffers.
+  struct Spans {
+    std::vector<Value> buf;
+    std::vector<std::size_t> slot;  // requested vertex k -> index in buf
+    Value& operator[](std::size_t k) { return buf[slot[k]]; }
+    const Value& operator[](std::size_t k) const { return buf[slot[k]]; }
+  };
+
   /// Gather values for an ascending vertex list. Reads are coalesced per
   /// run of vertices whose value bytes share/neighbor pages, so k actives on
   /// one page cost one page read.
-  std::vector<Value> gather(std::span<const VertexId> vertices) const {
-    std::vector<Value> out(vertices.size());
+  Spans gather_spans(std::span<const VertexId> vertices) const {
+    Spans spans;
+    spans.slot.resize(vertices.size());
     if (!on_storage_) {
+      spans.buf.resize(vertices.size());
       for (std::size_t i = 0; i < vertices.size(); ++i) {
-        out[i] = memory_[vertices[i]];
+        spans.buf[i] = memory_[vertices[i]];
+        spans.slot[i] = i;
       }
-      return out;
+      return spans;
     }
     for_each_coalesced_run(vertices, [&](std::size_t first, std::size_t last) {
-      // Read the contiguous span [vertices[first], vertices[last]] once and
-      // pick out the requested entries.
+      // Read the contiguous span [vertices[first], vertices[last]] once.
       const VertexId vb = vertices[first];
       const VertexId ve = vertices[last];
-      std::vector<Value> span_buf(ve - vb + 1);
+      const std::size_t off = spans.buf.size();
+      spans.buf.resize(off + (ve - vb + 1));
       blob_->read(static_cast<std::uint64_t>(vb) * sizeof(Value),
-                  span_buf.data(), span_buf.size() * sizeof(Value));
+                  spans.buf.data() + off, (ve - vb + 1) * sizeof(Value));
       for (std::size_t i = first; i <= last; ++i) {
-        out[i] = span_buf[vertices[i] - vb];
+        spans.slot[i] = off + (vertices[i] - vb);
       }
     });
+    return spans;
+  }
+
+  /// gather_spans() with the requested values picked out.
+  std::vector<Value> gather(std::span<const VertexId> vertices) const {
+    const Spans spans = gather_spans(vertices);
+    std::vector<Value> out(vertices.size());
+    for (std::size_t i = 0; i < vertices.size(); ++i) out[i] = spans[i];
     return out;
   }
 
-  /// Scatter values back for an ascending vertex list (read-modify-write at
-  /// page granularity, like a real storage stack would).
+  /// Write back the vertices of a gather_spans() call whose `dirty` flag is
+  /// set, from its (caller-updated) buffers, with no read. Dirty vertices
+  /// are re-coalesced with gather's page rule, so each written run lies
+  /// inside one gathered span and its gap vertices go back with the bytes
+  /// the gather read. The caller guarantees nothing else wrote inside those
+  /// spans since the gather. No dirty vertex, no write.
+  void write_back(std::span<const VertexId> vertices, const Spans& spans,
+                  std::span<const std::uint8_t> dirty) {
+    MLVC_CHECK(vertices.size() == spans.slot.size() &&
+               vertices.size() == dirty.size());
+    std::vector<VertexId> ids;
+    std::vector<std::size_t> slots;
+    for (std::size_t i = 0; i < vertices.size(); ++i) {
+      if (dirty[i] == 0) continue;
+      ids.push_back(vertices[i]);
+      slots.push_back(spans.slot[i]);
+    }
+    if (!on_storage_) {
+      for (std::size_t j = 0; j < ids.size(); ++j) {
+        memory_[ids[j]] = spans.buf[slots[j]];
+      }
+      return;
+    }
+    for_each_coalesced_run(ids, [&](std::size_t first, std::size_t last) {
+      const std::size_t count = ids[last] - ids[first] + 1;
+      MLVC_CHECK(slots[last] - slots[first] + 1 == count);
+      blob_->write(static_cast<std::uint64_t>(ids[first]) * sizeof(Value),
+                   spans.buf.data() + slots[first], count * sizeof(Value));
+    });
+  }
+
+  /// Scatter values back for an ascending vertex list with no prior gather
+  /// (read-modify-write at page granularity, like a real storage stack
+  /// would).
   void scatter(std::span<const VertexId> vertices,
                std::span<const Value> values) {
     MLVC_CHECK(vertices.size() == values.size());

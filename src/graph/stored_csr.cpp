@@ -33,8 +33,8 @@ void encode_blocks(std::span<const VertexId> colidx,
 }
 
 /// Decode colidx entries [lo, hi) out of the compressed bytes `comp`, which
-/// hold the blocks overlapping that span starting at interval-stream offset
-/// `comp_base` (== skips[lo / kCsrBlockEdges]).
+/// hold every block overlapping that span and start at interval-stream
+/// offset `comp_base` (at or before skips[lo / kCsrBlockEdges]).
 void decode_span(const std::vector<std::uint64_t>& skips, EdgeIndex n_edges,
                  EdgeIndex lo, EdgeIndex hi, const std::uint8_t* comp,
                  std::uint64_t comp_base, VertexId* out) {
@@ -71,9 +71,11 @@ StoredCsrGraph::StoredCsrGraph(ssd::Storage& storage, std::string name_prefix,
   MLVC_CHECK_MSG(intervals_.num_vertices() == csr.num_vertices(),
                  "interval boundaries do not cover the graph");
   const IntervalId n_int = intervals_.count();
-  degrees_.resize(csr.num_vertices());
-  for (VertexId v = 0; v < csr.num_vertices(); ++v) {
-    degrees_[v] = csr.out_degree(v);
+  const auto row_ptr = csr.row_ptr();
+  if (row_ptr.empty()) {
+    row_offsets_.assign(1, 0);
+  } else {
+    row_offsets_.assign(row_ptr.begin(), row_ptr.end());
   }
   interval_edges_.assign(n_int, 0);
   rowptr_blobs_.resize(n_int);
@@ -83,7 +85,6 @@ StoredCsrGraph::StoredCsrGraph(ssd::Storage& storage, std::string name_prefix,
   skip_blobs_.resize(n_int, nullptr);
   pending_.resize(n_int);
 
-  const auto row_ptr = csr.row_ptr();
   for (IntervalId i = 0; i < n_int; ++i) {
     const VertexId vb = intervals_.begin(i);
     const VertexId ve = intervals_.end(i);
@@ -166,7 +167,8 @@ StoredCsrGraph::StoredCsrGraph(ssd::Storage& storage, std::string name_prefix,
   // builds are push-only until mlvc_convert rewrites them (see Options).
   options_.with_transpose = false;
   const IntervalId n_int = intervals_.count();
-  degrees_.assign(intervals_.num_vertices(), 0);
+  row_offsets_.assign(static_cast<std::size_t>(intervals_.num_vertices()) + 1,
+                      0);
   interval_edges_.assign(n_int, 0);
   rowptr_blobs_.resize(n_int);
   colidx_blobs_.resize(n_int);
@@ -228,12 +230,12 @@ StoredCsrGraph::StoredCsrGraph(ssd::Storage& storage, std::string name_prefix,
     };
     for (VertexId v = vb; v < ve; ++v) {
       local_rowptr[v - vb] = edge_count;
+      row_offsets_[v] = num_edges_ + edge_count;
       while (have_edge && cur.src == v) {
         colidx_chunk.push_back(cur.dst);
         if (options_.with_weights) val_chunk.push_back(cur.weight);
         if (colidx_chunk.size() >= kChunkEdges) flush();
         ++edge_count;
-        ++degrees_[v];
         Edge next{};
         have_edge = next_edge(next);
         MLVC_CHECK_MSG(!have_edge || next.src >= cur.src,
@@ -257,6 +259,7 @@ StoredCsrGraph::StoredCsrGraph(ssd::Storage& storage, std::string name_prefix,
                              local_rowptr.size() * sizeof(EdgeIndex));
   }
   MLVC_CHECK_MSG(!have_edge, "edge stream has sources past num_vertices");
+  row_offsets_.back() = num_edges_;
   write_meta();
 }
 
@@ -322,24 +325,71 @@ void StoredCsrGraph::set_adjacency_cache(std::shared_ptr<ssd::PageCache> cache) 
   if (transpose_) transpose_->set_adjacency_cache(adjacency_cache_);
 }
 
-void StoredCsrGraph::read_adjacency_v2(IntervalId i, EdgeIndex lo,
-                                       EdgeIndex hi, VertexId* out) const {
-  if (lo == hi) return;
+void StoredCsrGraph::read_adjacency_v2(
+    IntervalId i, std::span<const ElemRange> ranges) const {
   const auto& skips = skip_index_[i];
   const EdgeIndex n_edges = interval_edges_[i];
-  MLVC_CHECK(hi <= n_edges);
-  const std::size_t b0 = static_cast<std::size_t>(lo / kCsrBlockEdges);
-  const std::size_t b1 = static_cast<std::size_t>((hi - 1) / kCsrBlockEdges);
-  const std::uint64_t byte_lo = skips[b0];
-  const std::uint64_t byte_hi = skips[b1 + 1];
-  std::vector<std::uint8_t> comp(byte_hi - byte_lo);
-  if (adjacency_cache_) {
-    adjacency_cache_->read(*colidx_blobs_[i], byte_lo, comp.data(),
-                           comp.size());
-  } else {
-    colidx_blobs_[i]->read(byte_lo, comp.data(), comp.size());
+  // Block spans [b0, b1] of the non-empty ranges, merged into disjoint
+  // extents. Abutting spans join too, so a page two blocks share is not
+  // charged twice. Each extent is read once into its slice of the arena.
+  struct Extent {
+    std::size_t b0 = 0;
+    std::size_t b1 = 0;
+    std::size_t arena_off = 0;
+  };
+  std::vector<Extent> extents;
+  extents.reserve(ranges.size());
+  for (const auto& r : ranges) {
+    if (r.lo == r.hi) continue;
+    MLVC_CHECK(r.hi <= n_edges);
+    extents.push_back({static_cast<std::size_t>(r.lo / kCsrBlockEdges),
+                       static_cast<std::size_t>((r.hi - 1) / kCsrBlockEdges),
+                       0});
   }
-  decode_span(skips, n_edges, lo, hi, comp.data(), byte_lo, out);
+  std::sort(extents.begin(), extents.end(),
+            [](const Extent& a, const Extent& b) { return a.b0 < b.b0; });
+  std::size_t merged = 0;
+  for (std::size_t k = 0; k < extents.size(); ++k) {
+    if (merged > 0 && extents[k].b0 <= extents[merged - 1].b1 + 1) {
+      extents[merged - 1].b1 = std::max(extents[merged - 1].b1, extents[k].b1);
+    } else {
+      extents[merged++] = extents[k];
+    }
+  }
+  extents.resize(merged);
+  const auto extent_bytes = [&](const Extent& e) {
+    return static_cast<std::size_t>(skips[e.b1 + 1] - skips[e.b0]);
+  };
+  std::size_t arena_bytes = 0;
+  for (Extent& e : extents) {
+    e.arena_off = arena_bytes;
+    arena_bytes += extent_bytes(e);
+  }
+  std::vector<std::uint8_t> arena(arena_bytes);
+  if (adjacency_cache_) {
+    for (const Extent& e : extents) {
+      adjacency_cache_->read(*colidx_blobs_[i], skips[e.b0],
+                             arena.data() + e.arena_off, extent_bytes(e));
+    }
+  } else {
+    std::vector<ssd::ReadOp> ops;
+    ops.reserve(extents.size());
+    for (const Extent& e : extents) {
+      ops.push_back({skips[e.b0], arena.data() + e.arena_off, extent_bytes(e)});
+    }
+    colidx_blobs_[i]->read_multi(ops);
+  }
+  for (const auto& r : ranges) {
+    if (r.lo == r.hi) continue;
+    // The range lies in the last extent starting at or before its first
+    // block.
+    const std::size_t b0 = static_cast<std::size_t>(r.lo / kCsrBlockEdges);
+    const auto it = std::prev(std::upper_bound(
+        extents.begin(), extents.end(), b0,
+        [](std::size_t b, const Extent& e) { return b < e.b0; }));
+    decode_span(skips, n_edges, r.lo, r.hi, arena.data() + it->arena_off,
+                skips[it->b0], static_cast<VertexId*>(r.out));
+  }
 }
 
 void StoredCsrGraph::read_adjacency(IntervalId i, EdgeIndex lo, EdgeIndex hi,
@@ -349,7 +399,8 @@ void StoredCsrGraph::read_adjacency(IntervalId i, EdgeIndex lo, EdgeIndex hi,
   storage_.stats().record_logical_read(ssd::IoCategory::kCsrColIdx,
                                        (hi - lo) * sizeof(VertexId));
   if (options_.format == OnDiskFormat::kV2) {
-    read_adjacency_v2(i, lo, hi, out.data());
+    const ElemRange range{lo, hi, out.data()};
+    read_adjacency_v2(i, std::span<const ElemRange>(&range, 1));
     return;
   }
   if (adjacency_cache_) {
@@ -385,12 +436,6 @@ std::vector<ssd::ReadOp> to_read_ops(
 }
 }  // namespace
 
-void StoredCsrGraph::read_local_row_ptrs_multi(
-    IntervalId i, std::span<const ElemRange> ranges) const {
-  MLVC_CHECK(i < intervals_.count());
-  rowptr_blobs_[i]->read_multi(to_read_ops<EdgeIndex>(ranges));
-}
-
 void StoredCsrGraph::read_adjacency_multi(
     IntervalId i, std::span<const ElemRange> ranges) const {
   MLVC_CHECK(i < intervals_.count());
@@ -400,48 +445,7 @@ void StoredCsrGraph::read_adjacency_multi(
                                          (r.hi - r.lo) * sizeof(VertexId));
   }
   if (options_.format == OnDiskFormat::kV2) {
-    if (adjacency_cache_) {
-      for (const auto& r : ranges) {
-        read_adjacency_v2(i, r.lo, r.hi, static_cast<VertexId*>(r.out));
-      }
-      return;
-    }
-    // One vectored read over every range's compressed span, then decode
-    // each span out of the shared arena — the v2 analogue of the preadv
-    // coalescing below.
-    const auto& skips = skip_index_[i];
-    struct CompSpan {
-      std::uint64_t byte_lo = 0, byte_hi = 0;
-      std::size_t arena_off = 0;
-    };
-    std::vector<CompSpan> spans(ranges.size());
-    std::vector<ssd::ReadOp> ops;
-    ops.reserve(ranges.size());
-    std::size_t arena_bytes = 0;
-    for (std::size_t k = 0; k < ranges.size(); ++k) {
-      const auto& r = ranges[k];
-      if (r.lo == r.hi) continue;
-      const std::size_t b0 = static_cast<std::size_t>(r.lo / kCsrBlockEdges);
-      const std::size_t b1 =
-          static_cast<std::size_t>((r.hi - 1) / kCsrBlockEdges);
-      spans[k] = {skips[b0], skips[b1 + 1], arena_bytes};
-      arena_bytes += spans[k].byte_hi - spans[k].byte_lo;
-    }
-    std::vector<std::uint8_t> arena(arena_bytes);
-    for (std::size_t k = 0; k < ranges.size(); ++k) {
-      if (ranges[k].lo == ranges[k].hi) continue;
-      ops.push_back({spans[k].byte_lo, arena.data() + spans[k].arena_off,
-                     static_cast<std::size_t>(spans[k].byte_hi -
-                                              spans[k].byte_lo)});
-    }
-    colidx_blobs_[i]->read_multi(ops);
-    for (std::size_t k = 0; k < ranges.size(); ++k) {
-      const auto& r = ranges[k];
-      if (r.lo == r.hi) continue;
-      decode_span(skips, interval_edges_[i], r.lo, r.hi,
-                  arena.data() + spans[k].arena_off, spans[k].byte_lo,
-                  static_cast<VertexId*>(r.out));
-    }
+    read_adjacency_v2(i, ranges);
     return;
   }
   if (adjacency_cache_) {
@@ -552,7 +556,9 @@ void StoredCsrGraph::load_meta() {
   skip_blobs_.resize(n_int, nullptr);
   pending_.clear();
   pending_.resize(n_int);
-  degrees_.assign(intervals_.num_vertices(), 0);
+  row_offsets_.assign(static_cast<std::size_t>(intervals_.num_vertices()) + 1,
+                      0);
+  EdgeIndex base = 0;
   for (IntervalId i = 0; i < n_int; ++i) {
     rowptr_blobs_[i] = &storage_.open_blob(blob_name(i, "rowptr"));
     colidx_blobs_[i] = &storage_.open_blob(blob_name(i, "colidx"));
@@ -567,8 +573,9 @@ void StoredCsrGraph::load_meta() {
                          skip_index_[i].back() == colidx_blobs_[i]->size(),
                      "csr v2: skip index inconsistent with colidx blob");
     }
-    // Degrees are derivable from the local row pointers; rebuilding them
-    // here keeps the meta blob small.
+    // The resident row offsets are the local row pointers rebased onto one
+    // graph-wide edge numbering; rebuilding them here keeps the meta blob
+    // small.
     const VertexId vb = intervals_.begin(i);
     const VertexId width = intervals_.width(i);
     const auto rp = rowptr_blobs_[i]->read_vector<EdgeIndex>(
@@ -576,9 +583,13 @@ void StoredCsrGraph::load_meta() {
     MLVC_CHECK_MSG(rp.back() == interval_edges_[i],
                    "csr meta: rowptr disagrees with interval edge count");
     for (VertexId lv = 0; lv < width; ++lv) {
-      degrees_[vb + lv] = rp[lv + 1] - rp[lv];
+      row_offsets_[vb + lv] = base + rp[lv];
     }
+    base += interval_edges_[i];
   }
+  MLVC_CHECK_MSG(base == num_edges_,
+                 "csr meta: interval edge counts disagree with the total");
+  row_offsets_.back() = base;
 }
 
 const ssd::Blob& StoredCsrGraph::rowptr_blob(IntervalId i) const {
@@ -656,7 +667,6 @@ void StoredCsrGraph::merge_interval(IntervalId i) {
                       [&](const auto& p) { return p.first == u.dst; });
       if (!exists) {
         list.emplace_back(u.dst, u.weight);
-        ++degrees_[u.src];
         ++num_edges_;
       }
     } else {
@@ -665,7 +675,6 @@ void StoredCsrGraph::merge_interval(IntervalId i) {
                        [&](const auto& p) { return p.first == u.dst; });
       if (it != list.end()) {
         list.erase(it);
-        --degrees_[u.src];
         --num_edges_;
       }
     }
@@ -681,7 +690,19 @@ void StoredCsrGraph::merge_interval(IntervalId i) {
       new_val.push_back(w);
     }
   }
-  interval_edges_[i] = new_rowptr.back();
+  // Rebase the resident offsets: this interval's rows take the new layout
+  // and every later row shifts by the interval's edge-count change.
+  const EdgeIndex old_count = interval_edges_[i];
+  const EdgeIndex new_count = new_rowptr.back();
+  const EdgeIndex base = row_offsets_[vb];
+  for (VertexId lv = 0; lv <= width; ++lv) {
+    row_offsets_[vb + lv] = base + new_rowptr[lv];
+  }
+  for (std::size_t v = static_cast<std::size_t>(vb) + width + 1;
+       v < row_offsets_.size(); ++v) {
+    row_offsets_[v] = row_offsets_[v] - old_count + new_count;
+  }
+  interval_edges_[i] = new_count;
   write_interval(i, new_rowptr, new_colidx,
                  options_.with_weights ? std::span<const float>(new_val)
                                        : std::span<const float>{});

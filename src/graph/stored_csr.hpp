@@ -7,9 +7,18 @@
 // vectors, and batched updates amortize even that.
 //
 // Layout per interval i (all page-accounted blobs in ssd::Storage):
-//   csr/<i>/rowptr : (width(i) + 1) x EdgeIndex — local offsets into colidx
-//   csr/<i>/colidx : local_edge_count x VertexId
-//   csr/<i>/val    : local_edge_count x float    (only with_weights)
+//   csr/<i>/rowptr      : (width(i) + 1) x EdgeIndex — local offsets into
+//                         colidx
+//   csr/<i>/colidx      : local_edge_count x VertexId (v1), or
+//                         delta+varint blocks of kCsrBlockEdges edges (v2)
+//   csr/<i>/colidx.skip : (blocks + 1) x u64 byte offsets      (v2 only)
+//   csr/<i>/val         : local_edge_count x float  (only with_weights)
+//
+// Resident in host memory: the graph-wide row offsets (8 B per vertex, the
+// rowptr blobs concatenated and rebased) and, under v2, the skip index
+// (8 B per block). Adjacency reads therefore touch only colidx/val pages;
+// the rowptr blobs are read at open(), by structural merges, and by tools
+// and baselines that stream whole intervals.
 #pragma once
 
 #include <functional>
@@ -17,6 +26,7 @@
 #include <mutex>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "graph/csr.hpp"
@@ -99,12 +109,20 @@ class StoredCsrGraph {
   OnDiskFormat format() const noexcept { return options_.format; }
   ssd::Storage& storage() noexcept { return storage_; }
 
-  /// Out-degree of every vertex, kept in host memory. 8 bytes per vertex —
-  /// the same class of metadata the paper keeps resident (the degree array
-  /// is needed to size reads before touching storage).
+  /// Out-degree of v, from the resident row offsets (no storage touched).
   EdgeIndex out_degree(VertexId v) const {
-    MLVC_CHECK(v < degrees_.size());
-    return degrees_[v];
+    MLVC_CHECK(v < num_vertices());
+    return row_offsets_[v + 1] - row_offsets_[v];
+  }
+
+  /// Vertex v's out-edges as interval-local colidx indices [lo, hi) of
+  /// interval i, which must contain v: the pair its rowptr blob holds at
+  /// v's local index, served from host memory.
+  std::pair<EdgeIndex, EdgeIndex> local_edge_range(IntervalId i,
+                                                   VertexId v) const {
+    MLVC_CHECK(v >= intervals_.begin(i) && v < intervals_.end(i));
+    const EdgeIndex base = row_offsets_[intervals_.begin(i)];
+    return {row_offsets_[v] - base, row_offsets_[v + 1] - base};
   }
 
   // ---- page-accounted reads ----------------------------------------------
@@ -132,11 +150,11 @@ class StoredCsrGraph {
   };
 
   /// Vectored forms: every range in one Blob::read_multi call, so a batch of
-  /// coalesced page windows costs one kernel round trip. Accounting is
-  /// identical to the scalar calls. Ranges index EdgeIndex entries for
-  /// rowptr, VertexId entries for adjacency, float entries for values.
-  void read_local_row_ptrs_multi(IntervalId i,
-                                 std::span<const ElemRange> ranges) const;
+  /// coalesced page windows costs one kernel round trip. Ranges index
+  /// VertexId entries for adjacency, float entries for values. Under v2 the
+  /// compressed blocks the ranges touch are merged into disjoint extents
+  /// first, so a block shared by several ranges is read (or, cached, looked
+  /// up) once; ranges may overlap, abut or be empty.
   void read_adjacency_multi(IntervalId i,
                             std::span<const ElemRange> ranges) const;
   void read_values_multi(IntervalId i,
@@ -229,16 +247,21 @@ class StoredCsrGraph {
   /// after every structural merge.
   void write_meta();
   void load_meta();
-  /// Read + decode colidx entries [lo, hi) of a v2 interval into out.
-  void read_adjacency_v2(IntervalId i, EdgeIndex lo, EdgeIndex hi,
-                         VertexId* out) const;
+  /// Read + decode every range of a v2 interval, one read per merged block
+  /// extent (see read_adjacency_multi).
+  void read_adjacency_v2(IntervalId i,
+                         std::span<const ElemRange> ranges) const;
 
   ssd::Storage& storage_;
   std::string prefix_;
   VertexIntervals intervals_;
   Options options_;
   EdgeIndex num_edges_ = 0;
-  std::vector<EdgeIndex> degrees_;
+  /// Graph-wide CSR row offsets (num_vertices + 1 entries): vertex v's
+  /// out-edges are edges [row_offsets_[v], row_offsets_[v + 1]) counting
+  /// across intervals in order. The rowptr blobs rebased, kept resident so
+  /// adjacency loads and degree queries never read a rowptr page.
+  std::vector<EdgeIndex> row_offsets_;
   std::vector<EdgeIndex> interval_edges_;
   std::vector<ssd::Blob*> rowptr_blobs_;
   std::vector<ssd::Blob*> colidx_blobs_;

@@ -804,6 +804,19 @@ void Storage::remove_blob(const std::string& name) {
   for (const auto& p : paths) std::filesystem::remove(p, ec);
 }
 
+void Storage::remove_blobs_under(const std::string& prefix) {
+  const std::string dir = prefix + "/";
+  std::lock_guard<std::mutex> lock(blobs_mutex_);
+  std::error_code ec;
+  // Names sharing the prefix sort contiguously from lower_bound(dir).
+  auto it = blobs_.lower_bound(dir);
+  while (it != blobs_.end() && it->first.compare(0, dir.size(), dir) == 0) {
+    const std::vector<std::filesystem::path> paths = it->second->paths_;
+    it = blobs_.erase(it);
+    for (const auto& p : paths) std::filesystem::remove(p, ec);
+  }
+}
+
 // ---------------------------------------------------------------------------
 // TempDir
 // ---------------------------------------------------------------------------

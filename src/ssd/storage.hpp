@@ -259,6 +259,9 @@ class Storage {
   /// Delete the blob's backing file and handle.
   void remove_blob(const std::string& name);
 
+  /// remove_blob() every open blob named "<prefix>/...".
+  void remove_blobs_under(const std::string& prefix);
+
   std::size_t page_size() const noexcept { return device_.config().page_size; }
   /// Resolved stripe layout (manifest > MLVC_DEVICES/MLVC_STRIPE_UNIT env >
   /// DeviceConfig). 1 device = the original single-file layout.

@@ -618,6 +618,55 @@ TEST(StoredCsrFormat, V2MatchesCsrCompressesAndReopens) {
   expect_adjacency_equals(*r2, csr);
 }
 
+// A vectored v2 read fetches each compressed block once, cached or not:
+// ranges that overlap, abut, are empty or share a block cost exactly what
+// one read of the blocks they cover costs, and decode to what v1 stores.
+TEST(StoredCsrFormat, V2VectoredReadFetchesEachBlockOnce) {
+  Env env;
+  const auto csr = sample_graph(11);
+  const auto iv =
+      graph::VertexIntervals::uniform(csr.num_vertices(), csr.num_vertices());
+  graph::StoredCsrGraph v1(env.storage, "v1", csr, iv,
+                           {.format = OnDiskFormat::kV1});
+  graph::StoredCsrGraph v2(env.storage, "v2", csr, iv,
+                           {.format = OnDiskFormat::kV2});
+  ASSERT_GT(v2.interval_edge_count(0), 4400u);
+  // Blocks of kCsrBlockEdges = 2048 edges; together the ranges cover blocks
+  // 0-2 without a gap, so they cost one read of edges [100, 4400).
+  const std::vector<std::pair<EdgeIndex, EdgeIndex>> spans = {
+      {4200, 4400}, {100, 300},   {200, 500},   {500, 900},  {900, 1000},
+      {1200, 1200}, {1900, 2300}, {2100, 2200}, {3000, 4200}};
+  const auto read_spans = [&](const graph::StoredCsrGraph& g) {
+    std::vector<std::vector<VertexId>> out(spans.size());
+    std::vector<graph::StoredCsrGraph::ElemRange> ranges;
+    for (std::size_t k = 0; k < spans.size(); ++k) {
+      out[k].resize(spans[k].second - spans[k].first);
+      ranges.push_back({spans[k].first, spans[k].second, out[k].data()});
+    }
+    g.read_adjacency_multi(0, ranges);
+    return out;
+  };
+  const auto expected = read_spans(v1);
+  for (const bool cached : {false, true}) {
+    SCOPED_TRACE(cached ? "cached" : "uncached");
+    v2.set_adjacency_cache(cached ? 1_MiB : 0);
+    auto before = env.storage.stats().snapshot();
+    std::vector<VertexId> whole(4400 - 100);
+    v2.read_adjacency(0, 100, 4400, whole);
+    const auto one_read = env.storage.stats().snapshot() - before;
+
+    v2.set_adjacency_cache(cached ? 1_MiB : 0);  // a cold cache again
+    before = env.storage.stats().snapshot();
+    EXPECT_EQ(read_spans(v2), expected);
+    const auto multi = env.storage.stats().snapshot() - before;
+    EXPECT_EQ(multi[ssd::IoCategory::kCsrColIdx].bytes_read,
+              one_read[ssd::IoCategory::kCsrColIdx].bytes_read);
+    EXPECT_EQ(multi[ssd::IoCategory::kCsrColIdx].pages_read,
+              one_read[ssd::IoCategory::kCsrColIdx].pages_read);
+    EXPECT_EQ(multi.cache_hit_pages, 0u);
+  }
+}
+
 TEST(StoredCsrFormat, WeightsRoundTripUnderV2) {
   Env env;
   graph::EdgeList list;

@@ -81,6 +81,41 @@ TEST(VertexValueStore, InMemoryModeDoesNoIo) {
   EXPECT_EQ(store.gather(std::vector<VertexId>{1})[0], 99u);
 }
 
+TEST(VertexValueStore, WriteBackWritesDirtyRunsWithoutReading) {
+  Env env;
+  VertexValueStore<std::uint64_t> store(
+      env.storage, "v", 100000, [](VertexId v) { return v; }, true);
+  // 512 values per 4 KiB page: 10, 20 and 700 coalesce into one run over
+  // pages 0-1; 90000 is a run of its own.
+  const std::vector<VertexId> ids = {10, 20, 700, 90000};
+  const auto before = env.storage.stats().snapshot();
+  auto spans = store.gather_spans(ids);
+  const auto gathered =
+      (env.storage.stats().snapshot() - before)[ssd::IoCategory::kVertexValue];
+
+  // An all-clean batch writes nothing.
+  store.write_back(ids, spans, std::vector<std::uint8_t>(ids.size(), 0));
+  auto diff =
+      (env.storage.stats().snapshot() - before)[ssd::IoCategory::kVertexValue];
+  EXPECT_EQ(diff.bytes_written, 0u);
+
+  spans[0] = 111;
+  spans[2] = 777;
+  store.write_back(ids, spans, std::vector<std::uint8_t>{1, 0, 1, 0});
+  diff =
+      (env.storage.stats().snapshot() - before)[ssd::IoCategory::kVertexValue];
+  EXPECT_EQ(diff.bytes_read, gathered.bytes_read);  // no re-read
+  EXPECT_EQ(diff.bytes_written, (700 - 10 + 1) * sizeof(std::uint64_t));
+
+  const auto all = store.all();
+  EXPECT_EQ(all[10], 111u);
+  EXPECT_EQ(all[700], 777u);
+  for (VertexId v = 11; v < 700; ++v) {
+    ASSERT_EQ(all[v], v) << "gap vertex " << v;  // written back unchanged
+  }
+  EXPECT_EQ(all[90000], 90000u);
+}
+
 TEST(VertexValueStore, RangeAccess) {
   Env env;
   VertexValueStore<std::uint32_t> store(

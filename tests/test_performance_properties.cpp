@@ -31,12 +31,14 @@ graph::CsrGraph perf_graph(std::uint64_t seed = 77) {
 
 template <core::VertexApp App>
 core::RunStats run_mlvc(const graph::CsrGraph& csr, App app,
-                        Superstep max_steps = 30) {
+                        Superstep max_steps = 30,
+                        DirectionMode direction = DirectionMode::kPush) {
   ssd::TempDir dir;
   ssd::Storage storage(dir.path(), dev4k());
   auto opts = testing_options();
   opts.memory_budget_bytes = 512_KiB;
   opts.max_supersteps = max_steps;
+  opts.direction = direction;
   graph::StoredCsrGraph stored(storage, "g", csr,
                                core::partition_for_app<App>(csr, opts));
   core::MultiLogVCEngine<App> engine(stored, app, opts);
@@ -121,17 +123,21 @@ TEST(PerformanceProperties, LogTrafficProportionalToMessages) {
   }
 }
 
-TEST(PerformanceProperties, RowPtrTrafficSmallFractionOfAdjacency) {
-  // Row-pointer windows are 8 B/vertex; adjacency dominates. A regression
-  // in window coalescing shows up as rowptr pages ballooning.
+TEST(PerformanceProperties, EngineRunsReadNoRowPtrPages) {
+  // Row offsets are resident: push loads and the pull path's transpose
+  // loads both read adjacency pages only.
   const auto csr = perf_graph(79);
-  const auto stats = run_mlvc(csr, apps::Cdlp{}, 5);
-  std::uint64_t rowptr = 0, colidx = 0;
-  for (const auto& s : stats.supersteps) {
-    rowptr += s.io[ssd::IoCategory::kCsrRowPtr].pages_read;
-    colidx += s.io[ssd::IoCategory::kCsrColIdx].pages_read;
-  }
-  EXPECT_LT(rowptr, colidx) << "row-pointer reads should not dominate";
+  const auto check = [](const core::RunStats& stats) {
+    std::uint64_t rowptr = 0, colidx = 0;
+    for (const auto& s : stats.supersteps) {
+      rowptr += s.io[ssd::IoCategory::kCsrRowPtr].pages_read;
+      colidx += s.io[ssd::IoCategory::kCsrColIdx].pages_read;
+    }
+    EXPECT_EQ(rowptr, 0u);
+    EXPECT_GT(colidx, 0u);
+  };
+  check(run_mlvc(csr, apps::Cdlp{}, 5));
+  check(run_mlvc(csr, apps::Bfs{.source = 0}, 30, DirectionMode::kPull));
 }
 
 TEST(PerformanceProperties, ModeledTimeDeterministic) {

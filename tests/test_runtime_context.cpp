@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cstring>
+#include <filesystem>
 #include <string>
 #include <thread>
 #include <vector>
@@ -391,6 +392,47 @@ TEST(RuntimeContext, ConcurrentEnginesMatchSerialOneShots) {
   // The shared cache never outgrew its configured budget.
   EXPECT_LE(ctx.shared_cache()->bytes_high_water(),
             ctx.shared_cache()->capacity_bytes());
+}
+
+std::size_t open_fd_count() {
+  std::size_t n = 0;
+  for ([[maybe_unused]] const auto& entry :
+       std::filesystem::directory_iterator("/proc/self/fd")) {
+    ++n;
+  }
+  return n;
+}
+
+TEST(RuntimeContext, FinishedQueriesReleaseTheirBlobs) {
+  const auto csr = ctx_graph();
+  ssd::TempDir dir;
+  core::RuntimeContext ctx(dir.path(), ctx_testing_options());
+  auto opts = testing_options();
+  graph::StoredCsrGraph stored(
+      ctx.storage(), "g", csr, core::partition_for_app<apps::Bfs>(csr, opts),
+      {});
+  ctx.adopt_graph(stored);
+  const auto run_query = [&](VertexId source, bool checkpoint) {
+    core::MultiLogVCEngine<apps::Bfs> engine(ctx, stored,
+                                             apps::Bfs{.source = source}, opts);
+    engine.run();
+    if (checkpoint) engine.save_checkpoint("kept");
+    return engine.query_id();
+  };
+  // The first query also warms whatever the process opens lazily.
+  const std::uint64_t first = run_query(0, /*checkpoint=*/true);
+  const std::size_t fds = open_fd_count();
+  for (VertexId source = 1; source <= 8; ++source) run_query(source, false);
+  EXPECT_EQ(open_fd_count(), fds);
+
+  const std::string prefix = core::RuntimeContext::query_prefix(first);
+  EXPECT_FALSE(ctx.storage().has_blob(prefix + "/values"));
+  EXPECT_FALSE(ctx.storage().has_blob(prefix + "/log_gen0"));
+  // What the SnapshotTable published outlives the engine that saved it.
+  EXPECT_TRUE(ctx.storage().has_blob("ckpt/kept@g1"));
+  core::MultiLogVCEngine<apps::Bfs> reader(ctx, stored,
+                                           apps::Bfs{.source = 0}, opts);
+  reader.load_checkpoint("kept");
 }
 
 // ---- snapshot isolation over checkpoints -----------------------------------

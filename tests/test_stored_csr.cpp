@@ -49,6 +49,22 @@ void expect_equals(const StoredCsrGraph& stored, const CsrGraph& csr) {
         EXPECT_EQ(colidx[rowptr[lv] + k], expected[k]);
       }
       EXPECT_EQ(stored.out_degree(v), expected.size());
+      EXPECT_EQ(stored.local_edge_range(i, v),
+                std::make_pair(rowptr[lv], rowptr[lv + 1]));
+    }
+  }
+}
+
+/// The resident row offsets agree with every stored rowptr entry.
+void expect_offsets_match_rowptr(const StoredCsrGraph& stored) {
+  const auto& iv = stored.intervals();
+  for (IntervalId i = 0; i < iv.count(); ++i) {
+    std::vector<EdgeIndex> rowptr(iv.width(i) + 1);
+    stored.read_local_row_ptrs(i, 0, rowptr.size(), rowptr);
+    for (VertexId lv = 0; lv < iv.width(i); ++lv) {
+      ASSERT_EQ(stored.local_edge_range(i, iv.begin(i) + lv),
+                std::make_pair(rowptr[lv], rowptr[lv + 1]))
+          << "interval " << i << " local vertex " << lv;
     }
   }
 }
@@ -59,6 +75,41 @@ TEST(StoredCsr, MatchesInMemoryCsr) {
   auto iv = VertexIntervals::uniform(csr.num_vertices(), 37);
   StoredCsrGraph stored(env.storage, "g", csr, iv);
   expect_equals(stored, csr);
+}
+
+TEST(StoredCsr, ResidentOffsetsTrackTransposeMergeAndReopen) {
+  Env env;
+  const auto csr = sample_graph();
+  StoredCsrGraph stored(env.storage, "g", csr,
+                        VertexIntervals::uniform(csr.num_vertices(), 37));
+  expect_offsets_match_rowptr(stored.transpose());
+
+  // Shrink one interval and grow a later one: every later row shifts.
+  VertexId v = 0;
+  while (csr.out_degree(v) == 0) ++v;
+  stored.buffer_update(
+      {StructuralUpdate::Kind::kRemoveEdge, v, csr.neighbors(v)[0], 0});
+  const VertexId u = csr.num_vertices() - 1;
+  const auto nbrs = csr.neighbors(u);
+  for (VertexId dst = 0, added = 0; added < 3; ++dst) {
+    if (std::find(nbrs.begin(), nbrs.end(), dst) != nbrs.end()) continue;
+    stored.buffer_update({StructuralUpdate::Kind::kAddEdge, u, dst, 1.0f});
+    ++added;
+  }
+  const auto& iv = stored.intervals();
+  for (IntervalId i = 0; i < iv.count(); ++i) {
+    stored.merge_interval(i);
+    stored.transpose().merge_interval(i);
+  }
+  EXPECT_EQ(stored.out_degree(v), csr.out_degree(v) - 1);
+  EXPECT_EQ(stored.out_degree(u), csr.out_degree(u) + 3);
+  expect_offsets_match_rowptr(stored);
+  expect_offsets_match_rowptr(stored.transpose());
+
+  const auto reopened = StoredCsrGraph::open(env.storage, "g");
+  expect_offsets_match_rowptr(*reopened);
+  expect_offsets_match_rowptr(reopened->transpose());
+  EXPECT_EQ(reopened->out_degree(u), stored.out_degree(u));
 }
 
 TEST(StoredCsr, WeightsRoundTrip) {
