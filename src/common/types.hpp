@@ -93,16 +93,17 @@ inline bool parse_on_disk_format(const char* s, OnDiskFormat* out) {
   return false;
 }
 
-/// How the engine orders ready vertex intervals within a superstep wave.
-/// kBsp is the paper's barrier execution (fused interval groups in id
-/// order); every other policy routes through core::IntervalScheduler, which
-/// releases each interval's load→sort→compute chain independently and picks
-/// the next chain by estimated impact. The policy controls ordering ONLY —
+/// How the engine orders vertex intervals within a superstep wave. Every
+/// policy runs the same wave: core::IntervalScheduler releases each
+/// interval's load→sort→compute chain and the engine fuses id-consecutive
+/// runs of the resulting order. kBsp is the paper's barrier execution
+/// (fused interval groups in id order); the others pick the next chain by
+/// estimated impact. The policy controls ordering ONLY —
 /// message delivery semantics stay with ComputationModel, so a scheduled
 /// synchronous run converges to the same values as BSP.
 enum class SchedulePolicy : std::uint8_t {
-  /// Global barrier, fused groups, id order — the default, byte-identical
-  /// to the pre-scheduler engine.
+  /// Global barrier, fused groups, id order — the default. The scheduler
+  /// runs it as kFifo; it differs only in reporting no scheduler stats.
   kBsp,
   /// Interval-granular chains in arrival (id) order — the scheduler's
   /// control case.

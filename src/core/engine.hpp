@@ -1,12 +1,16 @@
 // The MultiLogVC engine: Algorithm 1 of the paper.
 //
-// Per superstep:
-//   1. plan fused interval groups whose current message logs fit the sort
-//      budget (§V.A.2);
-//   2. per group: LoadLog() each interval's log (plus, in asynchronous mode,
-//      drain messages already produced this superstep for it), sort in
-//      memory by destination, optionally combine (§V.D), and
-//      ExtractActiveVert();
+// Per superstep (one wave):
+//   1. plan the wave's chains (plan_wave): every interval is released and
+//      ordered — id order under SchedulePolicy::kBsp, IntervalScheduler
+//      priority order otherwise (DESIGN.md §4c) — and runs of id-consecutive
+//      push intervals in that order fuse while their current message logs
+//      fit the sort budget (§V.A.2); an interval that pulls this superstep
+//      (§4e) is always a chain of its own;
+//   2. per chain: LoadLog() its intervals' logs (or, for a pulled interval,
+//      regenerate its input from the transpose CSR and the captured
+//      broadcasts), sort in memory by destination, optionally combine
+//      (§V.D), and ExtractActiveVert();
 //   3. per interval, in loader-budget-bounded batches of active vertices:
 //      gather vertex values, load adjacency through the Graph Loader Unit
 //      (edge-log hits first, then page-coalesced CSR reads), run the
@@ -14,26 +18,21 @@
 //      through per-thread staging buffers into the produce-generation
 //      multi-log (flushed in chunks at batch end), apply the §V.C edge-log
 //      decision, scatter values back;
-//   4. close the superstep: score/advance the predictor, summarize page
+//   4. under the asynchronous model, redeliver: each interval whose produce
+//      log grew during the wave gets one drain-only chain, so same-wave
+//      sends arrive before the generation swap (§V.F);
+//   5. close the superstep: score/advance the predictor, summarize page
 //      utilization, apply buffered structural updates, swap log generations.
 //
-// With options.enable_pipeline the superstep is staged (§VI async I/O):
-// interval group k+1's load/decode/sort runs on ssd::AsyncIo threads while
-// group k computes (synchronous model only — asynchronous-mode loads drain
-// messages produced earlier in the same superstep), and within an interval
-// the next active-vertex batches' adjacency/value loads are prefetched up to
-// options.prefetch_depth ahead of the batch being computed. Vertex values
-// are identical to the serial path; only the overlap changes.
-//
-// With options.schedule_policy != kBsp the barrier inside a superstep is
-// replaced by interval-granular chains ordered by core::IntervalScheduler
-// (DESIGN.md §4c): each ready interval's load→decode→sort→compute chain is
-// released independently, highest estimated impact first. Under the
-// synchronous model this reorders work only (values converge to the BSP
-// fixed point); under the asynchronous model chains additionally drain
-// same-wave sends and the scheduler re-queues intervals whose logs grew
-// after their drain, cutting effective rounds. Superstep boundaries (and so
-// checkpoints, stats, and convergence detection) are unchanged either way.
+// With options.enable_pipeline the superstep is staged (§VI async I/O) by
+// one prefetch rule: chain k+1's load/decode/sort (or pull fold) runs on
+// ssd::AsyncIo threads while chain k computes, and within an interval the
+// next active-vertex batches' adjacency/value loads run up to
+// options.prefetch_depth ahead of the batch being computed. A chain's inputs
+// are fixed at wave start (current log generation, sticky set, captured
+// broadcasts) and sends write only the produce side, so every chain of the
+// sweep may load early. Redelivery reads same-wave sends and stays serial.
+// Vertex values are identical to the serial path; only the overlap changes.
 #pragma once
 
 #include <algorithm>
@@ -397,7 +396,6 @@ class MultiLogVCEngine {
     any_pull_next_ = false;
     frontier_cur_.clear_all();
     frontier_next_.clear_all();
-    pull_dense_valid_ = false;
     plan_produced_last_ = 0;
     plan_produced_prev_ = 0;
     if (version >= 4) {
@@ -822,35 +820,11 @@ class MultiLogVCEngine {
     for (auto& ts : thread_state_) store_.flush_staging(ts.staging);
   }
 
-  /// Greedy §V.A.2 fusion: consecutive intervals whose current logs (by the
-  /// per-interval message counters) fit the sort budget together.
-  std::vector<std::pair<IntervalId, IntervalId>> plan_groups() const {
-    std::vector<std::pair<IntervalId, IntervalId>> groups;
-    const IntervalId n = graph_.intervals().count();
-    if (!options_.enable_interval_fusion) {
-      for (IntervalId i = 0; i < n; ++i) groups.emplace_back(i, i + 1);
-      return groups;
-    }
-    const std::uint64_t budget = options_.sort_budget();
-    IntervalId begin = 0;
-    std::uint64_t acc = 0;
-    for (IntervalId i = 0; i < n; ++i) {
-      const std::uint64_t bytes = store_.current_bytes(i);
-      if (i > begin && acc + bytes > budget) {
-        groups.emplace_back(begin, i);
-        begin = i;
-        acc = 0;
-      }
-      acc += bytes;
-    }
-    groups.emplace_back(begin, n);
-    return groups;
-  }
-
   bool pipeline_enabled() const noexcept { return async_io_ != nullptr; }
 
-  /// One fused interval group's grouped (and possibly combined) message
-  /// input — the output of pipeline stage 1 (LoadLog + scatter/sort+group).
+  /// One chain's grouped (and possibly combined) message input — the
+  /// output of pipeline stage 1 (LoadLog + scatter/sort+group, or the §4e
+  /// pull fold).
   struct GroupData {
     IntervalId begin = 0;
     IntervalId end = 0;
@@ -863,6 +837,10 @@ class MultiLogVCEngine {
     /// §V.B implementation chosen for this group.
     double sort_group_seconds = 0;
     SortGroupPath path = SortGroupPath::kComparisonSort;
+    /// CPU time the stage spent on an I/O thread (instrument = false):
+    /// sort/group plus the pull fold — off the critical path, outside
+    /// step_compute_seconds_.
+    double offthread_seconds = 0;
     /// Bytes dropped from torn trailing log pages (crash recovery).
     std::uint64_t torn_bytes_dropped = 0;
   };
@@ -870,33 +848,35 @@ class MultiLogVCEngine {
   /// Stage 1: load + group (fused counting scatter by default, §V.B, with
   /// combine folded in per §V.D) one fused interval group. Runs on the main
   /// thread (instrument = true: attribute load time to io, grouping time to
-  /// compute) or on an I/O thread one group ahead of compute (instrument =
+  /// compute) or on an I/O thread one chain ahead of compute (instrument =
   /// false: the main thread only accounts its wait on the future — the
-  /// stage itself is off the critical path). load_current = false skips the
-  /// current-generation log (scheduler requeue visits: the chain already
-  /// consumed it this wave — reloading would deliver every message twice)
-  /// and delivers only the drained same-wave sends.
+  /// stage itself is off the critical path). redeliver = true is the
+  /// asynchronous-model redelivery chain: it skips the current-generation
+  /// log (the sweep already consumed it this wave — reloading would deliver
+  /// every message twice) and drains the interval's same-wave sends from
+  /// the produce log instead.
   GroupData prepare_group(IntervalId g_begin, IntervalId g_end,
-                          bool drain_async, bool instrument,
-                          bool load_current = true) {
+                          bool instrument, bool redeliver = false) {
     GroupData g;
     g.begin = g_begin;
     g.end = g_end;
-    // Asynchronous-mode drain barrier: the drain below reads the produce
-    // logs, so records still parked in per-thread staging must be flushed
-    // first or this superstep's earlier sends would be delivered a superstep
-    // late. Runs on the main thread (async mode never prefetches groups —
-    // group k+1's input depends on group k's compute), with no parallel
-    // region active.
-    if (drain_async) flush_produce_staging();
+    // The drain reads the produce logs, so records still parked in
+    // per-thread staging must be flushed first or earlier sends would be
+    // delivered a superstep late. Redelivery runs on the main thread after
+    // the sweep, with no parallel region active.
+    if (redeliver) flush_produce_staging();
     std::vector<std::byte> bytes;
     {
       std::optional<ScopedAccumulator> io_time;
       if (instrument) io_time.emplace(step_io_seconds_);
       for (IntervalId i = g_begin; i < g_end; ++i) {
+        if (redeliver) {
+          store_.drain_produce_interval(i, bytes);
+          continue;
+        }
         const std::size_t before = bytes.size();
-        if (load_current) store_.load_interval(i, bytes);
-        if (load_current && options_.torn_page_recovery) {
+        store_.load_interval(i, bytes);
+        if (options_.torn_page_recovery) {
           // A crash mid-append can leave a partial trailing record (v1) or
           // chunk (v2) in an interval's log. Drop the torn tail (per
           // interval — the tear must not shift the next interval's records)
@@ -918,7 +898,6 @@ class MultiLogVCEngine {
             bytes.resize(before + keep);
           }
         }
-        if (drain_async) store_.drain_produce_interval(i, bytes);
       }
     }
 
@@ -973,54 +952,54 @@ class MultiLogVCEngine {
     g.consumed = grouped.decoded;
     g.path = grouped.path;
     g.sort_group_seconds = sort_timer.elapsed_seconds();
+    if (!instrument) g.offthread_seconds = g.sort_group_seconds;
     return g;
+  }
+
+  /// §4e dense-gather fast path: when the captured-broadcast table fits a
+  /// quarter of the budget, it is materialized once per superstep (shared
+  /// by every pulled interval) and indexed per in-edge directly. Otherwise
+  /// each pull batch sorts, dedups and gathers its own frontier sources.
+  bool pull_dense() const {
+    return static_cast<std::uint64_t>(graph_.num_vertices()) *
+               sizeof(Message) <=
+           options_.memory_budget_bytes / 4;
+  }
+
+  /// Materialize this superstep's captured broadcasts as a vertex-indexed
+  /// table (validity = frontier_cur_), one store gather for all pulled
+  /// intervals. Runs on the main thread at wave start, so pull chains
+  /// prepared on I/O threads only read it.
+  void build_pull_dense() {
+    pull_dense_msgs_.assign(graph_.num_vertices(), Message{});
+    std::vector<VertexId> ids;
+    frontier_cur_.for_each_set(
+        [&](std::size_t u) { ids.push_back(static_cast<VertexId>(u)); });
+    if (ids.empty()) return;
+    ScopedAccumulator io_time(step_io_seconds_);
+    const std::vector<Message> msgs = broadcast_cur_->gather(ids);
+    for (std::size_t k = 0; k < ids.size(); ++k) {
+      pull_dense_msgs_[ids[k]] = msgs[k];
+    }
   }
 
   /// §4e pull front-end for one interval: synthesize its grouped message
   /// input by streaming the stored transpose CSR in loader-budget batches,
   /// filtering in-neighbors against the broadcast frontier, gathering their
-  /// captured messages through the broadcast value store, and folding one
-  /// combined record per receiver — zero log writes, decodes, or
-  /// sort_and_group for the regenerated side. Records that DID land in the
-  /// interval's log (raw send() is never suppressed) are loaded the normal
-  /// way and merged in, so pull stays correct for apps mixing send styles.
-  /// The result feeds the unchanged collect_actives / process_interval
-  /// machinery.
-  /// Materialize this superstep's captured broadcasts as a vertex-indexed
-  /// table (validity = frontier_cur_), one store gather for all pulled
-  /// intervals. Rebuilt lazily after each broadcast-generation swap.
-  void ensure_pull_dense(bool instrument) {
-    if (pull_dense_valid_) return;
-    pull_dense_msgs_.assign(graph_.num_vertices(), Message{});
-    std::vector<VertexId> ids;
-    frontier_cur_.for_each_set(
-        [&](std::size_t u) { ids.push_back(static_cast<VertexId>(u)); });
-    if (!ids.empty()) {
-      std::optional<ScopedAccumulator> io_time;
-      if (instrument) io_time.emplace(step_io_seconds_);
-      const std::vector<Message> msgs = broadcast_cur_->gather(ids);
-      for (std::size_t k = 0; k < ids.size(); ++k) {
-        pull_dense_msgs_[ids[k]] = msgs[k];
-      }
-    }
-    pull_dense_valid_ = true;
-  }
-
+  /// captured messages (the dense table, or the broadcast value store), and
+  /// folding one combined record per receiver — zero log writes, decodes,
+  /// or sort_and_group for the regenerated side. Records that DID land in
+  /// the interval's log (raw send() is never suppressed) are loaded the
+  /// normal way and merged in, so pull stays correct for apps mixing send
+  /// styles. The result feeds the unchanged collect_actives /
+  /// process_interval machinery. Reads only wave-start state, so it may run
+  /// on an I/O thread (instrument = false) like any other chain prep.
   GroupData prepare_pull_group(IntervalId interval, bool instrument) {
-    GroupData logs = prepare_group(interval, interval + 1,
-                                   /*drain_async=*/false, instrument);
+    GroupData logs = prepare_group(interval, interval + 1, instrument);
     const VertexId vb = graph_.intervals().begin(interval);
     const VertexId ve = graph_.intervals().end(interval);
-
-    // Dense-gather fast path: when the captured-broadcast table fits a
-    // quarter of the budget, materialize it once per superstep (shared by
-    // every pulled interval) and index it per in-edge directly. The
-    // per-batch sort + dedup + binary-search fallback below stays for
-    // vertex counts the budget can't hold resident.
-    const bool dense =
-        static_cast<std::uint64_t>(graph_.num_vertices()) * sizeof(Message) <=
-        options_.memory_budget_bytes / 4;
-    if (dense) ensure_pull_dense(instrument);
+    const bool dense = pull_dense();
+    double fold_seconds = 0;
 
     std::vector<Rec> regen;  // one combined record per receiver, ascending
     std::uint64_t regen_consumed = 0;  // per contributing in-edge, matching
@@ -1064,8 +1043,8 @@ class MultiLogVCEngine {
         if (instrument) io_time.emplace(step_io_seconds_);
         msgs = broadcast_cur_->gather(srcs);
       }
-      std::optional<ScopedAccumulator> compute_time;
-      if (instrument) compute_time.emplace(step_compute_seconds_);
+      ScopedAccumulator compute_time(instrument ? step_compute_seconds_
+                                                : fold_seconds);
       for (std::size_t k = 0; k < ids.size(); ++k) {
         const auto span = adj.spans[k];
         bool have = false;
@@ -1086,6 +1065,7 @@ class MultiLogVCEngine {
       }
     }
 
+    logs.offthread_seconds += fold_seconds;
     if (regen.empty()) return logs;
     // Merge the regenerated records into the log-side grouped sequence
     // (both ascending by dst; a shared dst becomes one group).
@@ -1095,6 +1075,7 @@ class MultiLogVCEngine {
     g.consumed = logs.consumed + regen_consumed;
     g.sort_group_seconds = logs.sort_group_seconds;
     g.path = logs.path;
+    g.offthread_seconds = logs.offthread_seconds;
     g.torn_bytes_dropped = logs.torn_bytes_dropped;
     const std::size_t n_log = logs.offsets.empty() ? 0 : logs.offsets.size() - 1;
     g.records.reserve(logs.records.size() + regen.size());
@@ -1121,147 +1102,6 @@ class MultiLogVCEngine {
     return g;
   }
 
-  /// Per-wave tallies shared by the BSP and scheduled execution paths.
-  struct WaveTotals {
-    std::uint64_t consumed = 0;
-    std::uint64_t active_count = 0;
-    std::uint64_t edge_log_hits = 0;
-    double sort_group_seconds = 0;
-    /// Slice of sort_group_seconds that ran on the prefetch I/O threads
-    /// (instrument = false) — off the critical path, outside
-    /// step_compute_seconds_.
-    double offthread_sort_seconds = 0;
-    std::uint64_t groups_scatter = 0;
-    std::uint64_t groups_comparison = 0;
-    std::uint64_t torn_bytes_dropped = 0;
-    // Scheduler observability; stays zero on the BSP path.
-    std::uint64_t intervals_scheduled = 0;
-    std::uint64_t reorder_depth = 0;
-    double ready_latency_seconds = 0;
-    /// §4e: intervals consumed through the pull front-end this wave.
-    std::uint64_t intervals_pulled = 0;
-  };
-
-  void tally_group(const GroupData& group, WaveTotals& wave) const {
-    wave.consumed += group.consumed;
-    wave.sort_group_seconds += group.sort_group_seconds;
-    wave.torn_bytes_dropped += group.torn_bytes_dropped;
-    if (group.path == SortGroupPath::kCountingScatter) {
-      ++wave.groups_scatter;
-    } else {
-      ++wave.groups_comparison;
-    }
-  }
-
-  /// The paper's barrier wave: fused groups in id order (the pre-scheduler
-  /// execution, byte-identical under SchedulePolicy::kBsp).
-  void run_wave_bsp(Superstep s, DynamicBitset& active_now,
-                    WaveTotals& wave) {
-    if (any_pull_cur_) {
-      run_wave_bsp_direction(s, active_now, wave);
-      return;
-    }
-    const auto groups = plan_groups();
-    const bool drain_async = options_.model == ComputationModel::kAsynchronous;
-    // Stage 1 runs one group ahead only in the synchronous model: an
-    // asynchronous-mode load drains messages produced earlier in the *same*
-    // superstep, so group k+1's input depends on group k's compute.
-    const bool prefetch_groups = pipeline_enabled() && !drain_async;
-
-    std::future<GroupData> next_group;
-    const auto launch_group = [&](std::size_t gi) {
-      const IntervalId b = groups[gi].first;
-      const IntervalId e = groups[gi].second;
-      next_group = async_io_->submit([this, b, e] {
-        return prepare_group(b, e, /*drain_async=*/false,
-                             /*instrument=*/false);
-      });
-    };
-    if (prefetch_groups && !groups.empty()) launch_group(0);
-
-    try {
-      for (std::size_t gi = 0; gi < groups.size(); ++gi) {
-        GroupData group;
-        if (prefetch_groups) {
-          {
-            ScopedAccumulator io_time(step_io_seconds_);
-            group = next_group.get();
-          }
-          wave.offthread_sort_seconds += group.sort_group_seconds;
-          if (gi + 1 < groups.size()) launch_group(gi + 1);
-        } else {
-          group = prepare_group(groups[gi].first, groups[gi].second,
-                                drain_async, /*instrument=*/true);
-        }
-        tally_group(group, wave);
-
-        // ---- ExtractActiveVert: receivers ∪ sticky actives ----------------
-        // Both inputs are ascending; merge per interval.
-        for (IntervalId i = group.begin; i < group.end; ++i) {
-          std::vector<ActiveVertex> actives =
-              collect_actives(i, group.records, group.offsets);
-          if (actives.empty()) continue;
-          wave.active_count += actives.size();
-          process_interval(s, i, group.records, actives, active_now,
-                           wave.edge_log_hits);
-        }
-      }
-    } catch (...) {
-      // A stage-1 task in flight captures `this`; don't let it outlive the
-      // frame (std::future destructors do not block).
-      if (next_group.valid()) {
-        try {
-          next_group.get();
-        } catch (...) {
-        }
-      }
-      throw;
-    }
-  }
-
-  /// BSP wave when at least one interval pulls this superstep (§4e): pull
-  /// intervals run as singleton chains through the pull front-end, maximal
-  /// runs of consecutive push intervals fuse greedily under the sort budget
-  /// exactly like plan_groups(). Group-level prefetch is off here (the pull
-  /// front-end computes on the main thread); batch-level prefetch inside
-  /// process_interval still overlaps loads with compute. Only reachable
-  /// under the synchronous model — pull_available_ gates on it.
-  void run_wave_bsp_direction(Superstep s, DynamicBitset& active_now,
-                              WaveTotals& wave) {
-    const IntervalId n = graph_.intervals().count();
-    const std::uint64_t budget = options_.sort_budget();
-    IntervalId i = 0;
-    while (i < n) {
-      GroupData group;
-      if (direction_cur_[i] != 0) {
-        group = prepare_pull_group(i, /*instrument=*/true);
-        ++wave.intervals_pulled;
-      } else {
-        IntervalId e = i + 1;
-        std::uint64_t acc = store_.current_bytes(i);
-        while (options_.enable_interval_fusion && e < n &&
-               direction_cur_[e] == 0) {
-          const std::uint64_t bytes = store_.current_bytes(e);
-          if (acc + bytes > budget) break;
-          acc += bytes;
-          ++e;
-        }
-        group = prepare_group(i, e, /*drain_async=*/false,
-                              /*instrument=*/true);
-      }
-      tally_group(group, wave);
-      for (IntervalId j = group.begin; j < group.end; ++j) {
-        std::vector<ActiveVertex> actives =
-            collect_actives(j, group.records, group.offsets);
-        if (actives.empty()) continue;
-        wave.active_count += actives.size();
-        process_interval(s, j, group.records, actives, active_now,
-                         wave.edge_log_hits);
-      }
-      i = group.end;
-    }
-  }
-
   /// Static full-fan-in load cost per interval (loader-estimated adjacency
   /// bytes, monotone in out-degree mass) — the hub-degree policy's
   /// first-wave priority (before the predictor has history) and its
@@ -1277,20 +1117,14 @@ class MultiLogVCEngine {
     }
   }
 
-  bool interval_has_sticky(IntervalId i) const {
-    bool any = false;
-    sticky_active_.for_each_set_in_range(graph_.intervals().begin(i),
-                                         graph_.intervals().end(i),
-                                         [&](std::size_t) { any = true; });
-    return any;
-  }
-
   /// Hub-degree impact estimate for one interval: loader-estimated load
   /// cost of the vertices the history predictor expects to run
   /// (multilog/predictor.hpp), falling back to the interval's full-fan-in
   /// cost before any history. Deterministic — predictor state is a pure
-  /// function of the run so far.
+  /// function of the run so far. Only the hub-degree policy orders by it;
+  /// the others get 0 and skip the predictor scan.
   std::uint64_t schedule_score(IntervalId i) const {
+    if (options_.schedule_policy != SchedulePolicy::kHubDegree) return 0;
     if (!predictor_.has_history()) return hub_score_[i];
     std::uint64_t mass = 0;
     predictor_.for_each_predicted_in_range(
@@ -1301,246 +1135,194 @@ class MultiLogVCEngine {
     return mass;
   }
 
-  /// Interval-granular wave (options.schedule_policy != kBsp): one chain
-  /// per interval, ordered by the IntervalScheduler, no fusion (§V.A.1
-  /// sizing guarantees a single interval always fits the sort budget).
-  ///
-  /// Synchronous model: the wave's inputs (current generation + sticky set)
-  /// are immutable during the wave, so the full chain order is frozen up
-  /// front and chain k+1's load+sort runs on the AsyncIo threads while
-  /// chain k computes — the scheduled counterpart of the BSP group
-  /// prefetch. Ordering changes, delivered messages don't: values converge
-  /// to the BSP fixed point.
-  ///
-  /// Asynchronous model — two phases:
-  ///
-  /// Sweep. The wave-start input (current generation + sticky set) is
-  /// immutable, so the full priority order is frozen up front exactly like
-  /// the synchronous case; runs of id-consecutive intervals in that order
-  /// are fused under the sort budget (§V.A.2 applied to the scheduled
-  /// order — fifo recovers the BSP grouping, priority policies fuse
-  /// whatever consecutive runs survive the reorder) and group k+1's
-  /// load+sort overlaps group k's compute on the AsyncIo threads.
-  ///
-  /// Redelivery. Sends made during the sweep for already-swept intervals
-  /// would otherwise wait a full generation swap. Any interval whose
-  /// produce sequence moved past its wave-start quiesce mark (by at least
-  /// EngineOptions::async_requeue_min_bytes) is re-queued for one
-  /// drain-only, receivers-only chain — at most one redelivery per
-  /// interval per wave, in priority order; each chain re-scans, so mass
-  /// forwarded by a redelivery still reaches not-yet-redelivered
-  /// intervals the same wave. Waiting for the sweep (and earlier
-  /// redeliveries) before draining means a hub interval absorbs the whole
-  /// wave's mass in one combined pass instead of re-paying its adjacency
-  /// fan-out per partial delivery. That same-wave propagation is what cuts
-  /// effective rounds.
-  void run_wave_scheduled(Superstep s, DynamicBitset& active_now,
-                          WaveTotals& wave) {
+  /// One unit of the sweep: the id-contiguous intervals [begin, end),
+  /// consumed through the message logs, or one interval consumed by pull.
+  struct Chain {
+    IntervalId begin = 0;
+    IntervalId end = 0;
+    bool pull = false;
+  };
+
+  /// The wave planner. Every interval is released (a chain with no input is
+  /// a zero-byte load) and popped in the scheduler's order — id order under
+  /// kBsp, which the scheduler runs as fifo. Then §V.A.2 fusion applies to
+  /// that order: runs of id-consecutive push intervals fuse greedily while
+  /// their current logs fit the sort budget (prepare_group needs a
+  /// contiguous vertex range). A pulled interval is always a singleton.
+  /// Under kBsp this is the paper's barrier grouping exactly. Also records
+  /// the wave-start quiesce marks: the produce logs are empty after the
+  /// last generation swap, so anything past them later is sweep output.
+  std::vector<Chain> plan_wave(IntervalScheduler& sched) {
     const IntervalId n = graph_.intervals().count();
-    const bool drain_async = options_.model == ComputationModel::kAsynchronous;
-    ensure_hub_scores();
-    IntervalScheduler sched(options_.schedule_policy, n);
-
-    const auto mark = [&](IntervalId i) {
-      sched.mark_ready(i, schedule_score(i), store_.current_bytes(i));
-    };
     for (IntervalId i = 0; i < n; ++i) {
-      // Async mode releases every interval: a chain with no wave-start
-      // input still drains (and delivers) messages sent to it earlier in
-      // the wave, exactly like the BSP asynchronous path does in id order.
-      // A pull-direction interval is ready even with an empty log — its
-      // input lives in the broadcast capture, not the log (§4e).
-      if (!drain_async && store_.current_count(i) == 0 &&
-          !interval_has_sticky(i) &&
-          !(any_pull_cur_ && direction_cur_[i] != 0)) {
-        continue;
-      }
-      mark(i);
+      sched.mark_ready(i, schedule_score(i), store_.current_bytes(i));
+      sched.record_quiesce(i, store_.produce_seq(i));
     }
+    const std::uint64_t budget = options_.sort_budget();
+    std::vector<Chain> chains;
+    std::uint64_t acc = 0;
+    for (IntervalId i = sched.pop(); i != kInvalidInterval; i = sched.pop()) {
+      const bool pull = direction_cur_[i] != 0;
+      const std::uint64_t bytes = store_.current_bytes(i);
+      if (!pull && options_.enable_interval_fusion && !chains.empty() &&
+          !chains.back().pull && chains.back().end == i &&
+          acc + bytes <= budget) {
+        chains.back().end = i + 1;
+        acc += bytes;
+      } else {
+        chains.push_back({i, i + 1, pull});
+        acc = bytes;
+      }
+    }
+    return chains;
+  }
 
-    if (!drain_async) {
-      // Frozen wave order + chain prefetch on the pipeline threads.
-      std::vector<IntervalId> order;
-      order.reserve(n);
-      for (IntervalId i = sched.pop(); i != kInvalidInterval; i = sched.pop())
-        order.push_back(i);
-      std::future<GroupData> next_chain;
-      const auto launch_chain = [&](std::size_t k) {
-        const IntervalId i = order[k];
-        next_chain = async_io_->submit([this, i] {
-          return prepare_group(i, i + 1, /*drain_async=*/false,
-                               /*instrument=*/false);
+  /// The wave executor: one sweep over the planned chains, then (under the
+  /// asynchronous model) the redelivery phase.
+  ///
+  /// Sweep. A chain's inputs are fixed at wave start — the current log
+  /// generation, the sticky set, the captured broadcasts — and sends write
+  /// only the produce side, so chain k+1's prep runs on the AsyncIo
+  /// threads while chain k computes, pull chains included.
+  ///
+  /// Redelivery (asynchronous model). Sends made during the sweep for
+  /// already-swept intervals would otherwise wait a full generation swap.
+  /// Any interval whose produce sequence moved past its wave-start quiesce
+  /// mark is re-queued for one drain-only, receivers-only chain — at most
+  /// one redelivery per interval per wave, in priority order; each chain
+  /// re-scans, so mass forwarded by a redelivery still reaches
+  /// not-yet-redelivered intervals the same wave. Waiting for the sweep
+  /// (and earlier redeliveries) before draining means a hub interval
+  /// absorbs the whole wave's mass in one combined pass instead of
+  /// re-paying its adjacency fan-out per partial delivery. Redelivery reads
+  /// same-wave sends, so it runs serially on the main thread. Cascade
+  /// output from the last redeliveries rides the generation swap.
+  void run_wave(Superstep s, DynamicBitset& active_now,
+                SuperstepStats& step) {
+    const IntervalId n = graph_.intervals().count();
+    if (options_.schedule_policy == SchedulePolicy::kHubDegree) {
+      ensure_hub_scores();
+    }
+    if (any_pull_cur_ && pull_dense()) build_pull_dense();
+    IntervalScheduler sched(options_.schedule_policy, n);
+    const std::vector<Chain> chains = plan_wave(sched);
+
+    prefetched(
+        chains.size(), pipeline_enabled() ? 1 : 0,
+        [&](std::size_t k, bool offthread) {
+          const Chain& c = chains[k];
+          return c.pull ? prepare_pull_group(c.begin, !offthread)
+                        : prepare_group(c.begin, c.end, !offthread);
+        },
+        [&](std::size_t k, GroupData& group) {
+          if (chains[k].pull) ++step.intervals_pulled;
+          run_chain(s, group, /*include_sticky=*/true, active_now, step);
         });
-      };
-      // Pull chains prep on the main thread (the §4e front-end is itself a
-      // compute stage), so chain prefetch is off for waves that pull.
-      const bool prefetch = pipeline_enabled() && !any_pull_cur_;
-      if (prefetch && !order.empty()) launch_chain(0);
-      try {
-        for (std::size_t k = 0; k < order.size(); ++k) {
-          const IntervalId i = order[k];
-          GroupData group;
-          if (prefetch) {
-            {
-              ScopedAccumulator io_time(step_io_seconds_);
-              group = next_chain.get();
-            }
-            wave.offthread_sort_seconds += group.sort_group_seconds;
-            if (k + 1 < order.size()) launch_chain(k + 1);
-          } else if (direction_cur_[i] != 0) {
-            group = prepare_pull_group(i, /*instrument=*/true);
-            ++wave.intervals_pulled;
-          } else {
-            group = prepare_group(i, i + 1, /*drain_async=*/false,
-                                  /*instrument=*/true);
-          }
-          tally_group(group, wave);
-          std::vector<ActiveVertex> actives =
-              collect_actives(i, group.records, group.offsets);
-          if (actives.empty()) continue;
-          wave.active_count += actives.size();
-          process_interval(s, i, group.records, actives, active_now,
-                           wave.edge_log_hits);
-        }
-      } catch (...) {
-        if (next_chain.valid()) {
-          try {
-            next_chain.get();
-          } catch (...) {
-          }
-        }
-        throw;
-      }
-    } else {
-      // ---- sweep --------------------------------------------------------
-      // Wave-start quiesce baseline: the produce logs are empty after the
-      // last generation swap, so the live sequences mark "no same-wave
-      // sends yet" — anything past them later is sweep output.
-      for (IntervalId i = 0; i < n; ++i)
-        sched.record_quiesce(i, store_.produce_seq(i));
 
-      // The sweep input is immutable (sends land in the produce logs, not
-      // the current generation), so the priority order freezes up front
-      // and runs of id-consecutive intervals fuse under the sort budget —
-      // prepare_group needs a contiguous vertex range.
-      std::vector<IntervalId> order;
-      order.reserve(n);
-      for (IntervalId i = sched.pop(); i != kInvalidInterval; i = sched.pop())
-        order.push_back(i);
-      std::vector<std::pair<IntervalId, IntervalId>> groups;
-      {
-        const std::uint64_t budget = options_.sort_budget();
-        std::size_t k = 0;
-        while (k < order.size()) {
-          const IntervalId b = order[k];
-          IntervalId e = b + 1;
-          std::uint64_t acc = store_.current_bytes(b);
-          ++k;
-          while (options_.enable_interval_fusion && k < order.size() &&
-                 order[k] == e) {
-            const std::uint64_t bytes = store_.current_bytes(order[k]);
-            if (acc + bytes > budget) break;
-            acc += bytes;
-            ++e;
-            ++k;
-          }
-          groups.emplace_back(b, e);
-        }
-      }
-
-      std::future<GroupData> next_group;
-      const auto launch_group = [&](std::size_t gi) {
-        const IntervalId b = groups[gi].first;
-        const IntervalId e = groups[gi].second;
-        next_group = async_io_->submit([this, b, e] {
-          return prepare_group(b, e, /*drain_async=*/false,
-                               /*instrument=*/false);
-        });
-      };
-      const bool prefetch = pipeline_enabled();
-      if (prefetch && !groups.empty()) launch_group(0);
-      try {
-        for (std::size_t gi = 0; gi < groups.size(); ++gi) {
-          GroupData group;
-          if (prefetch) {
-            {
-              ScopedAccumulator io_time(step_io_seconds_);
-              group = next_group.get();
-            }
-            wave.offthread_sort_seconds += group.sort_group_seconds;
-            if (gi + 1 < groups.size()) launch_group(gi + 1);
-          } else {
-            group = prepare_group(groups[gi].first, groups[gi].second,
-                                  /*drain_async=*/false, /*instrument=*/true);
-          }
-          tally_group(group, wave);
-          for (IntervalId i = group.begin; i < group.end; ++i) {
-            std::vector<ActiveVertex> actives =
-                collect_actives(i, group.records, group.offsets);
-            if (actives.empty()) continue;
-            wave.active_count += actives.size();
-            process_interval(s, i, group.records, actives, active_now,
-                             wave.edge_log_hits);
-          }
-        }
-      } catch (...) {
-        if (next_group.valid()) {
-          try {
-            next_group.get();
-          } catch (...) {
-          }
-        }
-        throw;
-      }
-
-      // ---- redelivery ---------------------------------------------------
-      // Same-wave sends sit in the produce logs. Each interval gets at
-      // most ONE drain-only chain per wave: waiting for the sweep (and any
-      // earlier redeliveries) means a hub interval drains the whole wave's
-      // mass in one combined pass instead of re-paying its adjacency
-      // fan-out per partial delivery — repeated partial redelivery is what
-      // turns the priority policies' reorder into message churn. Cascade
-      // output from the last redeliveries rides the generation swap.
+    if (options_.model == ComputationModel::kAsynchronous) {
       flush_produce_staging();
-      const std::uint64_t floor = options_.async_requeue_min_bytes;
       std::vector<bool> redelivered(n, false);
       const auto scan_pending = [&] {
         for (IntervalId j = 0; j < n; ++j) {
           if (redelivered[j] || sched.is_ready(j)) continue;
           const std::uint64_t seq = store_.produce_seq(j);
           if (seq == sched.quiesce_seq(j)) continue;
-          const std::uint64_t pending =
-              (seq - sched.quiesce_seq(j)) * sizeof(Rec);
-          if (pending < floor) continue;
-          sched.mark_ready(j, schedule_score(j), pending);
+          sched.mark_ready(j, schedule_score(j),
+                           (seq - sched.quiesce_seq(j)) * sizeof(Rec));
         }
       };
       scan_pending();
       for (IntervalId i = sched.pop(); i != kInvalidInterval;
            i = sched.pop()) {
         redelivered[i] = true;
-        GroupData group =
-            prepare_group(i, i + 1, /*drain_async=*/true,
-                          /*instrument=*/true, /*load_current=*/false);
+        GroupData group = prepare_group(i, i + 1, /*instrument=*/true,
+                                        /*redeliver=*/true);
         // The drain left interval i's produce log empty and nothing can
         // append between it and this read (main thread, no parallel region
         // active), so the sequence mark is exact.
         sched.record_quiesce(i, store_.produce_seq(i));
-        tally_group(group, wave);
-        std::vector<ActiveVertex> actives = collect_actives(
-            i, group.records, group.offsets, /*include_sticky=*/false);
-        if (!actives.empty()) {
-          wave.active_count += actives.size();
-          process_interval(s, i, group.records, actives, active_now,
-                           wave.edge_log_hits);
-        }
+        run_chain(s, group, /*include_sticky=*/false, active_now, step);
         scan_pending();
       }
     }
 
-    wave.intervals_scheduled = sched.pops();
-    wave.reorder_depth = sched.max_reorder_depth();
-    wave.ready_latency_seconds = sched.ready_latency_seconds();
+    // The barrier order is not a schedule: BSP reports no scheduler stats.
+    if (options_.schedule_policy != SchedulePolicy::kBsp) {
+      step.intervals_scheduled = sched.pops();
+      step.schedule_reorder_depth = sched.max_reorder_depth();
+      step.ready_latency_seconds = sched.ready_latency_seconds();
+    }
+  }
+
+  /// Tally one prepared chain into the superstep's stats, then
+  /// ExtractActiveVert (receivers, merged with sticky actives unless this
+  /// is a redelivery) and process each of its intervals.
+  void run_chain(Superstep s, const GroupData& group, bool include_sticky,
+                 DynamicBitset& active_now, SuperstepStats& step) {
+    step.messages_consumed += group.consumed;
+    step.sort_group_seconds += group.sort_group_seconds;
+    step.offthread_sort_seconds += group.offthread_seconds;
+    step.torn_bytes_dropped += group.torn_bytes_dropped;
+    if (group.path == SortGroupPath::kCountingScatter) {
+      ++step.groups_scatter;
+    } else {
+      ++step.groups_comparison;
+    }
+    for (IntervalId i = group.begin; i < group.end; ++i) {
+      std::vector<ActiveVertex> actives =
+          collect_actives(i, group.records, group.offsets, include_sticky);
+      if (actives.empty()) continue;
+      step.active_vertices += actives.size();
+      process_interval(s, i, group.records, actives, active_now,
+                       step.edge_log_hits);
+    }
+  }
+
+  /// The engine's one prefetch rule (§VI): for k in [0, n), produce(k, ...)
+  /// builds item k and consume(k, item) uses it on the main thread. With
+  /// depth > 0, items k+1..k+depth are produced on the AsyncIo threads
+  /// while item k is consumed, and the main thread books its wait on each
+  /// as io time; depth 0 produces inline. produce's second argument says
+  /// whether it runs off-thread, so the stage can attribute its own time.
+  /// In-flight stages borrow the caller's frame and `this`, so an exception
+  /// drains them before it unwinds (std::future destructors do not block).
+  template <typename Produce, typename Consume>
+  void prefetched(std::size_t n, unsigned depth, Produce&& produce,
+                  Consume&& consume) {
+    if (depth == 0) {
+      for (std::size_t k = 0; k < n; ++k) {
+        auto item = produce(k, /*offthread=*/false);
+        consume(k, item);
+      }
+      return;
+    }
+    using Item = std::invoke_result_t<Produce&, std::size_t, bool>;
+    std::deque<std::future<Item>> inflight;
+    std::size_t next = 0;
+    const auto issue = [&] {
+      if (next == n) return;
+      const std::size_t k = next++;
+      inflight.push_back(async_io_->submit(
+          [&produce, k] { return produce(k, /*offthread=*/true); }));
+    };
+    try {
+      for (unsigned d = 0; d < depth; ++d) issue();
+      for (std::size_t k = 0; k < n; ++k) {
+        Item item;
+        {
+          ScopedAccumulator io_time(step_io_seconds_);
+          item = inflight.front().get();
+        }
+        inflight.pop_front();
+        issue();
+        consume(k, item);
+      }
+    } catch (...) {
+      for (auto& f : inflight) {
+        if (f.valid()) f.wait();
+      }
+      throw;
+    }
   }
 
   SuperstepStats execute_superstep(Superstep s) {
@@ -1582,12 +1364,7 @@ class MultiLogVCEngine {
     step_io_seconds_ = 0;
     step_compute_seconds_ = 0;
 
-    WaveTotals wave;
-    if (options_.schedule_policy == SchedulePolicy::kBsp) {
-      run_wave_bsp(s, active_now, wave);
-    } else {
-      run_wave_scheduled(s, active_now, wave);
-    }
+    run_wave(s, active_now, step);
 
     // ---- close the superstep ---------------------------------------------
     const auto predictor_score = predictor_.score(active_now);
@@ -1623,7 +1400,6 @@ class MultiLogVCEngine {
       std::swap(broadcast_cur_, broadcast_next_);
       frontier_cur_ = frontier_next_;
       frontier_next_.clear_all();
-      pull_dense_valid_ = false;
       // Production history for plan_directions' trend extrapolation.
       // messages_produced counts suppressed sends too, so an
       // all-suppressed wave doesn't look idle.
@@ -1631,8 +1407,6 @@ class MultiLogVCEngine {
       plan_produced_last_ = messages_produced;
     }
 
-    step.active_vertices = wave.active_count;
-    step.messages_consumed = wave.consumed;
     step.messages_produced = messages_produced;
     step.edges_activated = edges_activated;
     step.scatter_flush_count = scatter_flush_count;
@@ -1640,20 +1414,10 @@ class MultiLogVCEngine {
     step.pages_touched = util.pages_touched;
     step.pages_inefficient = util.pages_inefficient;
     step.pages_inefficient_predicted = util.inefficient_predicted;
-    step.edge_log_hits = wave.edge_log_hits;
     step.predicted_active = predictor_score.predicted_and_active;
     step.total_wall_seconds = wall.elapsed_seconds();
     step.compute_wall_seconds = step_compute_seconds_;
     step.io_wall_seconds = step_io_seconds_;
-    step.sort_group_seconds = wave.sort_group_seconds;
-    step.offthread_sort_seconds = wave.offthread_sort_seconds;
-    step.groups_scatter = wave.groups_scatter;
-    step.groups_comparison = wave.groups_comparison;
-    step.torn_bytes_dropped = wave.torn_bytes_dropped;
-    step.intervals_scheduled = wave.intervals_scheduled;
-    step.schedule_reorder_depth = wave.reorder_depth;
-    step.ready_latency_seconds = wave.ready_latency_seconds;
-    step.intervals_pulled = wave.intervals_pulled;
     step.log_bytes_avoided = log_bytes_avoided;
     step.io = (ctx_ != nullptr ? query_io_.snapshot()
                                : storage.stats().snapshot()) -
@@ -1664,13 +1428,12 @@ class MultiLogVCEngine {
   }
 
   /// Merge interval i's message receivers with its sticky-active vertices.
-  /// include_sticky = false collects receivers only — scheduler requeue
-  /// visits deliver same-wave sends to a chain that already ran, and its
+  /// include_sticky = false collects receivers only — redelivery chains
+  /// deliver same-wave sends to an interval the sweep already ran, and its
   /// sticky vertices (which have no new input) must not execute twice.
   std::vector<ActiveVertex> collect_actives(
       IntervalId i, const std::vector<Rec>& records,
-      const std::vector<std::size_t>& offsets,
-      bool include_sticky = true) const {
+      const std::vector<std::size_t>& offsets, bool include_sticky) const {
     const VertexId vb = graph_.intervals().begin(i);
     const VertexId ve = graph_.intervals().end(i);
     std::vector<ActiveVertex> actives;
@@ -1783,58 +1546,25 @@ class MultiLogVCEngine {
           actives.data() + batches[bi].first,
           batches[bi].second - batches[bi].first);
     };
-
-    if (!pipeline_enabled() || batches.size() <= 1) {
-      for (std::size_t bi = 0; bi < batches.size(); ++bi) {
-        BatchData data;
-        {
+    // Stage 2: batch b+1 (up to b+prefetch_depth) loads on I/O threads
+    // while batch b computes. Safe because batches are disjoint ascending
+    // vertices: loads read only consume-side state (current log
+    // generations, stored CSR, values of vertices no earlier batch
+    // scatters). A single batch has nothing to overlap and loads inline.
+    const unsigned depth = pipeline_enabled() && batches.size() > 1
+                               ? std::max(1u, options_.prefetch_depth)
+                               : 0;
+    prefetched(
+        batches.size(), depth,
+        [&](std::size_t bi, bool offthread) {
+          if (offthread) return load_batch(interval, slice(bi));
           ScopedAccumulator io_time(step_io_seconds_);
-          data = load_batch(interval, slice(bi));
-        }
-        compute_batch(s, slice(bi), records, data, active_now,
-                      edge_log_hits);
-      }
-      return;
-    }
-
-    // Stage 2: double-buffered adjacency prefetch — batch b+1 (up to
-    // b+prefetch_depth) loads on I/O threads while batch b computes. Safe
-    // because batches are disjoint ascending vertices: loads read only
-    // consume-side state (current log generations, stored CSR, values of
-    // vertices no earlier batch scatters).
-    std::deque<std::future<BatchData>> inflight;
-    std::size_t next_issue = 0;
-    const std::size_t depth = std::max(1u, options_.prefetch_depth);
-    const auto issue = [&] {
-      const auto b = slice(next_issue++);
-      inflight.push_back(async_io_->submit(
-          [this, interval, b] { return load_batch(interval, b); }));
-    };
-    try {
-      while (next_issue < batches.size() && inflight.size() <= depth) {
-        issue();
-      }
-      for (std::size_t bi = 0; bi < batches.size(); ++bi) {
-        BatchData data;
-        {
-          ScopedAccumulator io_time(step_io_seconds_);
-          data = inflight.front().get();
-        }
-        inflight.pop_front();
-        if (next_issue < batches.size()) issue();
-        compute_batch(s, slice(bi), records, data, active_now,
-                      edge_log_hits);
-      }
-    } catch (...) {
-      // In-flight loads borrow `actives` and `this`; drain before unwind.
-      for (auto& f : inflight) {
-        try {
-          f.get();
-        } catch (...) {
-        }
-      }
-      throw;
-    }
+          return load_batch(interval, slice(bi));
+        },
+        [&](std::size_t bi, BatchData& data) {
+          compute_batch(s, slice(bi), records, data, active_now,
+                        edge_log_hits);
+        });
   }
 
   void compute_batch(Superstep s, std::span<const ActiveVertex> batch,
@@ -1995,10 +1725,9 @@ class MultiLogVCEngine {
   std::unique_ptr<VertexValueStore<Message>> broadcast_cur_, broadcast_next_;
   DynamicBitset frontier_cur_, frontier_next_;
   /// Dense-gather fast path: captured broadcasts indexed by vertex id,
-  /// built at most once per superstep (ensure_pull_dense) and only when
-  /// V x sizeof(Message) fits a quarter of the budget.
+  /// rebuilt at the start of each wave that pulls (build_pull_dense) and
+  /// only when V x sizeof(Message) fits a quarter of the budget.
   std::vector<Message> pull_dense_msgs_;
-  bool pull_dense_valid_ = false;
   /// plan_directions production history (suppressed sends included): the
   /// last two supersteps' messages_produced, for the trend extrapolation.
   std::uint64_t plan_produced_last_ = 0;

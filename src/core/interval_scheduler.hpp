@@ -9,7 +9,9 @@
 // sequence number observed when its log was drained — and hands the engine
 // ready chains one at a time, ordered by a priority policy:
 //
-//   fifo        arrival (interval id) order — the control case;
+//   fifo        arrival (interval id) order — the control case, and the
+//               order kBsp runs (the paper's barrier wave is the fifo
+//               sweep);
 //   hub-degree  descending out-degree mass of the interval's expected-active
 //               vertices (hubs first: the ACGraph-style signal that pays on
 //               skewed graphs, since hub updates feed the most downstream
@@ -30,7 +32,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "common/error.hpp"
 #include "common/timer.hpp"
 #include "common/types.hpp"
 
@@ -39,10 +40,7 @@ namespace mlvc::core {
 class IntervalScheduler {
  public:
   IntervalScheduler(SchedulePolicy policy, IntervalId n)
-      : policy_(policy), slots_(n) {
-    MLVC_CHECK_MSG(policy != SchedulePolicy::kBsp,
-                   "BSP runs the barrier path, not the scheduler");
-  }
+      : policy_(policy), slots_(n) {}
 
   IntervalId size() const noexcept {
     return static_cast<IntervalId>(slots_.size());
@@ -133,14 +131,13 @@ class IntervalScheduler {
   /// ascending and only replaces the incumbent on a strict win.
   bool better(const Slot& a, const Slot& b) const {
     switch (policy_) {
+      case SchedulePolicy::kBsp:
       case SchedulePolicy::kFifo:
         return a.arrival_rank < b.arrival_rank;
       case SchedulePolicy::kHubDegree:
         return a.score > b.score;
       case SchedulePolicy::kLogBytes:
         return a.pending_bytes > b.pending_bytes;
-      case SchedulePolicy::kBsp:
-        break;  // unreachable (rejected in the constructor)
     }
     return false;
   }

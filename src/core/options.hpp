@@ -34,24 +34,15 @@ struct EngineOptions {
 
   ComputationModel model = ComputationModel::kSynchronous;
 
-  /// Superstep-internal execution order (common/types.hpp). kBsp keeps the
-  /// paper's barrier path (fused groups, id order) untouched; any other
-  /// value runs interval-granular chains ordered by core::IntervalScheduler.
-  /// Ordering only — delivery semantics stay with `model`, so a scheduled
-  /// synchronous run still converges to the BSP values, while
-  /// schedule+kAsynchronous adds same-wave delivery and dynamic requeue of
-  /// intervals whose logs grew after they ran (the effective-round win).
-  /// MLVC_SCHEDULE overrides this.
+  /// Superstep-internal chain order (common/types.hpp). kBsp is the
+  /// paper's barrier wave: fused groups in id order (the scheduler's fifo
+  /// order); any other value orders the wave's chains by
+  /// core::IntervalScheduler priority. Ordering only — delivery semantics
+  /// stay with `model`, so a scheduled synchronous run still converges to
+  /// the BSP values, while kAsynchronous under any policy adds same-wave
+  /// delivery: one redelivery chain per interval whose log grew after the
+  /// sweep ran it (the effective-round win). MLVC_SCHEDULE overrides this.
   SchedulePolicy schedule_policy = SchedulePolicy::kBsp;
-
-  /// Scheduled-async redelivery floor: an interval is re-queued for its
-  /// (single, per-wave) same-wave delivery pass only once the volume
-  /// produced for it since its last drain reaches this many bytes; below
-  /// the floor the pending records ride the generation swap into the next
-  /// wave. 0 (default) = any pending volume qualifies — the one-redelivery-
-  /// per-wave rule already bounds the chain count, and same-wave delivery
-  /// of even tiny residuals is what collapses the convergence tail.
-  std::uint64_t async_requeue_min_bytes = 0;
 
   /// §V.C edge-log optimizer. Off = every adjacency read hits the CSR.
   bool enable_edge_log = true;

@@ -57,17 +57,18 @@ struct SuperstepStats {
   std::uint64_t torn_bytes_dropped = 0;
 
   /// Interval-granular scheduling (options.schedule_policy != kBsp; all
-  /// zero on the BSP barrier path). Chains activated this wave — exceeds
-  /// the interval count when the asynchronous model re-queued intervals
-  /// whose logs grew after their drain (same-wave delivery) — plus how far
-  /// the priority policy moved an interval from its arrival rank at worst,
-  /// and the total time ready chains waited before activation.
+  /// zero under BSP). Chains activated this wave — exceeds the interval
+  /// count when the asynchronous model re-queued intervals whose logs grew
+  /// after their drain (same-wave delivery) — plus how far the priority
+  /// policy moved an interval from its arrival rank at worst, and the total
+  /// time ready chains waited before activation.
   std::uint64_t intervals_scheduled = 0;
   std::uint64_t schedule_reorder_depth = 0;
   double ready_latency_seconds = 0;
 
-  /// The slice of sort_group_seconds that ran on pipeline I/O threads
-  /// (prefetched groups) and is therefore NOT inside compute_wall_seconds.
+  /// CPU time of prefetched chain preps — their sort_group_seconds plus,
+  /// for pulled intervals, the §4e fold — which ran on pipeline I/O
+  /// threads and is therefore NOT inside compute_wall_seconds.
   /// compute_wall_seconds + offthread_sort_seconds is invariant to where
   /// the pipeline scheduled the stage.
   double offthread_sort_seconds = 0;

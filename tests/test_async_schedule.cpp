@@ -1,8 +1,9 @@
 // Interval-granular scheduled execution (core/interval_scheduler.hpp):
 // IntervalScheduler pop-order properties, fixed-point equivalence of
 // scheduled sync/async runs against BSP and the textbook references,
-// determinism of the scheduled execution, the IoBatch drain-on-destruct
-// contract, and a crashtest cycle over the async scheduled path.
+// asynchronous BSP as the fifo sweep, determinism of the scheduled
+// execution, the IoBatch drain-on-destruct contract, and a crashtest cycle
+// over the async scheduled path.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -299,6 +300,33 @@ TEST_F(ScheduledExecution, AsyncWccNeedsNoMoreRoundsThanBsp) {
                                    core::ComputationModel::kAsynchronous,
                                    SchedulePolicy::kHubDegree);
   EXPECT_LE(async.stats.effective_rounds(), bsp.stats.effective_rounds());
+}
+
+template <core::VertexApp App>
+void expect_bsp_async_is_fifo_sweep(const graph::CsrGraph& csr, App app) {
+  const auto bsp = run_scheduled(csr, app,
+                                 core::ComputationModel::kAsynchronous,
+                                 SchedulePolicy::kBsp);
+  const auto fifo = run_scheduled(csr, app,
+                                  core::ComputationModel::kAsynchronous,
+                                  SchedulePolicy::kFifo);
+  EXPECT_EQ(bsp.values, fifo.values);
+  EXPECT_EQ(bsp.stats.effective_rounds(), fifo.stats.effective_rounds());
+  ASSERT_EQ(bsp.stats.supersteps.size(), fifo.stats.supersteps.size());
+  for (std::size_t s = 0; s < bsp.stats.supersteps.size(); ++s) {
+    EXPECT_EQ(bsp.stats.supersteps[s].messages_consumed,
+              fifo.stats.supersteps[s].messages_consumed)
+        << "superstep " << s;
+  }
+}
+
+TEST_F(ScheduledExecution, BspAsyncRunsTheFifoSweep) {
+  // BSP is the fifo order: under the asynchronous model it runs the same
+  // id-order sweep plus redelivery phase as fifo, so every delivery — and
+  // hence every per-superstep consumed count — matches.
+  const auto csr = sched_graph();
+  expect_bsp_async_is_fifo_sweep(csr, apps::Bfs{.source = 0});
+  expect_bsp_async_is_fifo_sweep(csr, apps::Wcc{});
 }
 
 // ---- MLVC_SCHEDULE env override ---------------------------------------------

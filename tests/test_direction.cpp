@@ -68,10 +68,11 @@ core::EngineOptions direction_opts(Superstep max_steps = 60) {
 
 // ---- push/pull/adaptive equivalence matrix --------------------------------
 //
-// devices {1, 4} x pipeline {off, on} x schedule {bsp, hub-degree}: every
-// cell must produce the push values bit-exactly for integer-valued apps.
-// (The scheduled sweep stays frozen-order synchronous, so pull's gather is
-// still a per-superstep barrier there.)
+// devices {1, 4} x pipeline {off, on} x schedule {bsp, fifo, hub-degree}:
+// every cell must produce the push values bit-exactly for integer-valued
+// apps. (The scheduled sweep stays frozen-order synchronous, so pull's
+// gather is still a per-superstep barrier there; with the pipeline on, pull
+// chains are prepared on I/O threads between fused push runs.)
 
 template <core::VertexApp App, typename Cmp>
 void direction_matrix(const graph::CsrGraph& csr, App app,
@@ -79,7 +80,8 @@ void direction_matrix(const graph::CsrGraph& csr, App app,
   for (unsigned devices : {1u, 4u}) {
     for (bool pipeline : {false, true}) {
       for (SchedulePolicy sched :
-           {SchedulePolicy::kBsp, SchedulePolicy::kHubDegree}) {
+           {SchedulePolicy::kBsp, SchedulePolicy::kFifo,
+            SchedulePolicy::kHubDegree}) {
         auto opts = base;
         opts.enable_pipeline = pipeline;
         opts.schedule_policy = sched;

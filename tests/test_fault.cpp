@@ -1,6 +1,7 @@
 // Fault-injection substrate tests: seeded injector determinism, the storage
 // retry/giveup policy, torn-page truncate-and-continue, atomic CRC-checked
-// checkpoints, and the crash failpoint.
+// checkpoints, the crash failpoint, and a mid-wave giveup unwinding the
+// pipelined engine.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -416,6 +417,55 @@ TEST(FaultEngine, RunUnderTransientFaultsMatchesCleanRun) {
       });
   // Retries happened and are visible in the per-superstep IO snapshots.
   EXPECT_GT(retries, 0u);
+}
+
+TEST(FaultEngine, GiveupMidWaveUnwindsThePipeline) {
+  // A storage giveup in the middle of a pipelined wave must unwind through
+  // the prefetch helper: in-flight chain and batch stages are drained,
+  // run() rethrows the typed IoError, and the engine then destructs without
+  // hanging (ctest's TIMEOUT turns a hang into a failure). The pull run
+  // faults while pull chains are prepared on I/O threads.
+  ScopedFaultEnv env_guard;
+  graph::RmatParams p;
+  p.scale = 11;
+  p.edge_factor = 8;
+  p.seed = 98;
+  const auto csr = graph::CsrGraph::from_edge_list(graph::generate_rmat(p));
+  for (const DirectionMode direction :
+       {DirectionMode::kPush, DirectionMode::kPull}) {
+    for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+      SCOPED_TRACE(::testing::Message()
+                   << to_string(direction) << ", fault seed " << seed);
+      ::setenv("MLVC_DIRECTION", to_string(direction), 1);
+      ssd::TempDir dir;
+      ssd::DeviceConfig device;
+      device.page_size = 4_KiB;
+      ssd::Storage storage(dir.path(), device);
+      auto opts = testing_options();
+      opts.memory_budget_bytes = 256_KiB;  // several chains per wave
+      opts.enable_pipeline = true;
+      opts.io_retry_attempts = 1;  // the first injected fault gives up
+      opts.direction = direction;
+      graph::StoredCsrGraph stored(
+          storage, "g", csr, core::partition_for_app<apps::Bfs>(csr, opts),
+          {.with_transpose = true});
+      ASSERT_GE(stored.intervals().count(), 2u);
+      {
+        core::MultiLogVCEngine<apps::Bfs> engine(stored,
+                                                 apps::Bfs{.source = 0}, opts);
+        ASSERT_EQ(engine.stats().direction, to_string(direction));
+        // One clean superstep first, so the pull run's next wave pulls.
+        engine.run_with_callback([](const core::SuperstepStats&) {
+          return false;
+        });
+        storage.set_fault_injector(std::make_shared<FaultInjector>(
+            FaultInjector::named_profile("giveup", 0.3), seed));
+        EXPECT_THROW(engine.run(), IoError);
+      }
+      storage.set_fault_injector(nullptr);
+      ::unsetenv("MLVC_DIRECTION");
+    }
+  }
 }
 
 TEST(FaultEngine, CheckpointPublishIsAtomicAndReloadable) {

@@ -57,7 +57,7 @@
 set -eu
 
 build_dir="${1:-build}"
-out="${2:-BENCH_scatter.json}"
+scatter_out="${2:-BENCH_scatter.json}"
 io_out="${3:-BENCH_io.json}"
 serve_out="${4:-BENCH_serve.json}"
 compress_out="${5:-BENCH_compress.json}"
@@ -66,152 +66,85 @@ stripe_out="${7:-BENCH_stripe.json}"
 direction_out="${8:-BENCH_direction.json}"
 min_time="${MLVC_BENCH_MIN_TIME:-0.05}"
 filter="${MLVC_BENCH_FILTER:-BM_ScatterAppend}"
-
-bench="$build_dir/bench/bench_micro_substrate"
-if [ ! -x "$bench" ]; then
-  echo "error: $bench not built (cmake --build $build_dir --target bench_micro_substrate)" >&2
-  exit 1
-fi
-
-"$bench" \
-  --benchmark_filter="$filter" \
-  --benchmark_min_time="$min_time" \
-  --benchmark_out="$out" \
-  --benchmark_out_format=json \
-  --benchmark_counters_tabular=true
-
-echo "wrote $out"
-
-"$bench" \
-  --benchmark_filter="BM_IoRandRead" \
-  --benchmark_min_time="$min_time" \
-  --benchmark_out="$io_out" \
-  --benchmark_out_format=json \
-  --benchmark_counters_tabular=true
-
-echo "wrote $io_out"
-
-serve_bench="$build_dir/bench/bench_serve"
-if [ ! -x "$serve_bench" ]; then
-  echo "error: $serve_bench not built (cmake --build $build_dir --target bench_serve)" >&2
-  exit 1
-fi
-"$serve_bench" "$serve_out"
-
-compress_bench="$build_dir/bench/bench_compress"
-if [ ! -x "$compress_bench" ]; then
-  echo "error: $compress_bench not built (cmake --build $build_dir --target bench_compress)" >&2
-  exit 1
-fi
-"$compress_bench" "$compress_out"
-
-async_bench="$build_dir/bench/bench_async"
-if [ ! -x "$async_bench" ]; then
-  echo "error: $async_bench not built (cmake --build $build_dir --target bench_async)" >&2
-  exit 1
-fi
-"$async_bench" "$async_out"
-
-stripe_bench="$build_dir/bench/bench_stripe"
-if [ ! -x "$stripe_bench" ]; then
-  echo "error: $stripe_bench not built (cmake --build $build_dir --target bench_stripe)" >&2
-  exit 1
-fi
-"$stripe_bench" "$stripe_out"
-
-direction_bench="$build_dir/bench/bench_direction"
-if [ ! -x "$direction_bench" ]; then
-  echo "error: $direction_bench not built (cmake --build $build_dir --target bench_direction)" >&2
-  exit 1
-fi
-"$direction_bench" "$direction_out"
-
-# Regression guards: compare guarded throughput ratios against the committed
-# baselines. Skipped when no baseline exists or MLVC_BENCH_CHECK=0.
 repo_root="$(cd "$(dirname "$0")/.." && pwd)"
-baseline="${MLVC_BENCH_BASELINE:-$repo_root/bench/baselines/scatter.json}"
-io_baseline="${MLVC_BENCH_IO_BASELINE:-$repo_root/bench/baselines/io.json}"
 check="${MLVC_BENCH_CHECK:-1}"
 max_regression="${MLVC_BENCH_MAX_REGRESSION:-0.30}"
-io_min_ratio="${MLVC_BENCH_IO_MIN_RATIO-1.5}"
-if [ "$check" != "0" ] && [ -f "$baseline" ]; then
-  python3 "$repo_root/tools/check_bench_regression.py" "$out" "$baseline" \
-    --max-regression "$max_regression"
-elif [ "$check" != "0" ]; then
-  echo "no baseline at $baseline, skipping scatter regression guard"
-fi
-if [ "$check" != "0" ] && [ -f "$io_baseline" ]; then
-  if [ -n "$io_min_ratio" ]; then
-    python3 "$repo_root/tools/check_bench_regression.py" "$io_out" \
-      "$io_baseline" --suite io --max-regression "$max_regression" \
-      --min-ratio "$io_min_ratio"
-  else
-    python3 "$repo_root/tools/check_bench_regression.py" "$io_out" \
-      "$io_baseline" --suite io --max-regression "$max_regression"
+
+# The suites, in run order, one per line:
+#   suite  bench-binary  baseline-env  floor-env  default-floor
+# A floor env set to the empty string disables that suite's absolute floor;
+# "-" means the suite has none.
+suites='
+scatter   bench_micro_substrate MLVC_BENCH_BASELINE           -                                -
+io        bench_micro_substrate MLVC_BENCH_IO_BASELINE        MLVC_BENCH_IO_MIN_RATIO          1.5
+serve     bench_serve           MLVC_BENCH_SERVE_BASELINE     -                                -
+compress  bench_compress        MLVC_BENCH_COMPRESS_BASELINE  MLVC_BENCH_COMPRESS_MIN_RATIO    2.0
+async     bench_async           MLVC_BENCH_ASYNC_BASELINE     MLVC_BENCH_ASYNC_MIN_GEOMEAN     1.05
+stripe    bench_stripe          MLVC_BENCH_STRIPE_BASELINE    MLVC_BENCH_STRIPE_MIN_GEOMEAN    1.3
+direction bench_direction       MLVC_BENCH_DIRECTION_BASELINE MLVC_BENCH_DIRECTION_MIN_GEOMEAN 2.0
+'
+
+# run_suite SUITE BINARY OUT: run one sweep, writing OUT. scatter and io
+# are two filters over the google-benchmark substrate binary; every other
+# suite binary takes its output path.
+run_suite() {
+  bin="$build_dir/bench/$2"
+  if [ ! -x "$bin" ]; then
+    echo "error: $bin not built (cmake --build $build_dir --target $2)" >&2
+    exit 1
   fi
-elif [ "$check" != "0" ]; then
-  echo "no baseline at $io_baseline, skipping io regression guard"
-fi
-serve_baseline="${MLVC_BENCH_SERVE_BASELINE:-$repo_root/bench/baselines/serve.json}"
-if [ "$check" != "0" ] && [ -f "$serve_baseline" ]; then
-  python3 "$repo_root/tools/check_bench_regression.py" "$serve_out" \
-    "$serve_baseline" --suite serve --max-regression "$max_regression"
-elif [ "$check" != "0" ]; then
-  echo "no baseline at $serve_baseline, skipping serve regression guard"
-fi
-compress_baseline="${MLVC_BENCH_COMPRESS_BASELINE:-$repo_root/bench/baselines/compress.json}"
-compress_min_ratio="${MLVC_BENCH_COMPRESS_MIN_RATIO-2.0}"
-if [ "$check" != "0" ] && [ -f "$compress_baseline" ]; then
-  if [ -n "$compress_min_ratio" ]; then
-    python3 "$repo_root/tools/check_bench_regression.py" "$compress_out" \
-      "$compress_baseline" --suite compress \
-      --max-regression "$max_regression" --min-ratio "$compress_min_ratio"
-  else
-    python3 "$repo_root/tools/check_bench_regression.py" "$compress_out" \
-      "$compress_baseline" --suite compress --max-regression "$max_regression"
+  case "$1" in
+    scatter) bench_filter="$filter" ;;
+    io) bench_filter="BM_IoRandRead" ;;
+    *)
+      "$bin" "$3"
+      return 0
+      ;;
+  esac
+  "$bin" \
+    --benchmark_filter="$bench_filter" \
+    --benchmark_min_time="$min_time" \
+    --benchmark_out="$3" \
+    --benchmark_out_format=json \
+    --benchmark_counters_tabular=true
+  echo "wrote $3"
+}
+
+# guard_suite SUITE OUT BASELINE-ENV FLOOR-ENV DEFAULT-FLOOR: compare the
+# suite's guarded ratios against its committed baseline (skipped when the
+# baseline file is absent).
+guard_suite() {
+  eval "baseline=\${$3:-$repo_root/bench/baselines/$1.json}"
+  if [ ! -f "$baseline" ]; then
+    echo "no baseline at $baseline, skipping $1 regression guard"
+    return 0
   fi
-elif [ "$check" != "0" ]; then
-  echo "no baseline at $compress_baseline, skipping compress regression guard"
-fi
-async_baseline="${MLVC_BENCH_ASYNC_BASELINE:-$repo_root/bench/baselines/async.json}"
-async_min_geomean="${MLVC_BENCH_ASYNC_MIN_GEOMEAN-1.05}"
-if [ "$check" != "0" ] && [ -f "$async_baseline" ]; then
-  if [ -n "$async_min_geomean" ]; then
-    python3 "$repo_root/tools/check_bench_regression.py" "$async_out" \
-      "$async_baseline" --suite async \
-      --max-regression "$max_regression" --min-ratio "$async_min_geomean"
+  floor=""
+  if [ "$4" != "-" ]; then eval "floor=\${$4-$5}"; fi
+  if [ -n "$floor" ]; then
+    python3 "$repo_root/tools/check_bench_regression.py" "$2" "$baseline" \
+      --suite "$1" --max-regression "$max_regression" --min-ratio "$floor"
   else
-    python3 "$repo_root/tools/check_bench_regression.py" "$async_out" \
-      "$async_baseline" --suite async --max-regression "$max_regression"
+    python3 "$repo_root/tools/check_bench_regression.py" "$2" "$baseline" \
+      --suite "$1" --max-regression "$max_regression"
   fi
-elif [ "$check" != "0" ]; then
-  echo "no baseline at $async_baseline, skipping async regression guard"
-fi
-stripe_baseline="${MLVC_BENCH_STRIPE_BASELINE:-$repo_root/bench/baselines/stripe.json}"
-stripe_min_geomean="${MLVC_BENCH_STRIPE_MIN_GEOMEAN-1.3}"
-if [ "$check" != "0" ] && [ -f "$stripe_baseline" ]; then
-  if [ -n "$stripe_min_geomean" ]; then
-    python3 "$repo_root/tools/check_bench_regression.py" "$stripe_out" \
-      "$stripe_baseline" --suite stripe \
-      --max-regression "$max_regression" --min-ratio "$stripe_min_geomean"
-  else
-    python3 "$repo_root/tools/check_bench_regression.py" "$stripe_out" \
-      "$stripe_baseline" --suite stripe --max-regression "$max_regression"
-  fi
-elif [ "$check" != "0" ]; then
-  echo "no baseline at $stripe_baseline, skipping stripe regression guard"
-fi
-direction_baseline="${MLVC_BENCH_DIRECTION_BASELINE:-$repo_root/bench/baselines/direction.json}"
-direction_min_geomean="${MLVC_BENCH_DIRECTION_MIN_GEOMEAN-2.0}"
-if [ "$check" != "0" ] && [ -f "$direction_baseline" ]; then
-  if [ -n "$direction_min_geomean" ]; then
-    python3 "$repo_root/tools/check_bench_regression.py" "$direction_out" \
-      "$direction_baseline" --suite direction \
-      --max-regression "$max_regression" --min-ratio "$direction_min_geomean"
-  else
-    python3 "$repo_root/tools/check_bench_regression.py" "$direction_out" \
-      "$direction_baseline" --suite direction --max-regression "$max_regression"
-  fi
-elif [ "$check" != "0" ]; then
-  echo "no baseline at $direction_baseline, skipping direction regression guard"
+}
+
+while read -r suite bin _; do
+  [ -n "$suite" ] || continue
+  eval "suite_out=\$${suite}_out"
+  run_suite "$suite" "$bin" "$suite_out"
+done <<EOF
+$suites
+EOF
+
+# Regression guards: skipped entirely when MLVC_BENCH_CHECK=0.
+if [ "$check" != "0" ]; then
+  while read -r suite _ baseline_env floor_env floor; do
+    [ -n "$suite" ] || continue
+    eval "suite_out=\$${suite}_out"
+    guard_suite "$suite" "$suite_out" "$baseline_env" "$floor_env" "$floor"
+  done <<EOF
+$suites
+EOF
 fi
