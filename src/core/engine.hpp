@@ -16,7 +16,8 @@
 //      (edge-log hits first, then page-coalesced CSR reads), run the
 //      application's ProcessVertex in parallel, route its SendUpdate()s
 //      through per-thread staging buffers into the produce-generation
-//      multi-log (flushed in chunks at batch end), apply the §V.C edge-log
+//      multi-log (flushed in chunks at batch end; for apps with a combine,
+//      folded per destination before they spill), apply the §V.C edge-log
 //      decision, scatter values back;
 //   4. under the asynchronous model, redeliver: each interval whose produce
 //      log grew during the wave gets one drain-only chain, so same-wave
@@ -39,6 +40,7 @@
 #include <array>
 #include <cstring>
 #include <deque>
+#include <functional>
 #include <future>
 #include <memory>
 #include <mutex>
@@ -621,7 +623,8 @@ class MultiLogVCEngine {
                    .async_io = async_io_.get(),
                    // Unique "q<id>" prefixes make an existing blob an id
                    // reuse bug; fail loudly instead of truncating it.
-                   .expect_fresh_blobs = ctx != nullptr}),
+                   .expect_fresh_blobs = ctx != nullptr,
+                   .combine = log_fold_combine()}),
         edge_log_(graph.storage(), blob_prefix_,
                   multilog::EdgeLogConfig{App::kNeedsWeights,
                                           options_.edge_log_budget()}),
@@ -681,7 +684,22 @@ class MultiLogVCEngine {
     stats_.combine_placement =
         to_string(device_combine_active() ? CombinePlacement::kDevice
                                           : CombinePlacement::kHost);
+    stats_.fold_wide_intervals = store_.fold_wide_intervals();
     setup_direction();
+  }
+
+  /// The multi-log's produce-side fold operator: the app's combine when it
+  /// has one and combining is on, otherwise none (every message is logged).
+  std::function<void(std::byte*, const std::byte*)> log_fold_combine() const {
+    if constexpr (App::kHasCombine) {
+      if (options_.enable_combine) {
+        return multilog::record_combiner<Message>(
+            [app = &app_](const Message& a, const Message& b) {
+              return app->combine(a, b);
+            });
+      }
+    }
+    return {};
   }
 
   /// §4e eligibility gates + state setup. A pull/adaptive request degrades
@@ -830,13 +848,14 @@ class MultiLogVCEngine {
     IntervalId end = 0;
     std::vector<Rec> records;
     std::vector<std::size_t> offsets;
-    /// Records loaded from the logs, before combine shrinks them —
+    /// Sends behind the loaded logs, before either fold shrinks them —
     /// messages_consumed counts what was sent, not what survived combine.
     std::size_t consumed = 0;
     /// Wall time of the sort-and-group stage, wherever it ran, and the
-    /// §V.B implementation chosen for this group.
+    /// §V.B implementation chosen for this group (none when the chain had
+    /// no log input).
     double sort_group_seconds = 0;
-    SortGroupPath path = SortGroupPath::kComparisonSort;
+    std::optional<SortGroupPath> path;
     /// CPU time the stage spent on an I/O thread (instrument = false):
     /// sort/group plus the pull fold — off the critical path, outside
     /// step_compute_seconds_.
@@ -866,14 +885,19 @@ class MultiLogVCEngine {
     // the sweep, with no parallel region active.
     if (redeliver) flush_produce_staging();
     std::vector<std::byte> bytes;
+    // Sends the produce-side fold absorbed: loaded records plus these are
+    // the sends behind the logs. Drains report their sends directly.
+    std::uint64_t absorbed = 0;
+    std::uint64_t drained_sends = 0;
     {
       std::optional<ScopedAccumulator> io_time;
       if (instrument) io_time.emplace(step_io_seconds_);
       for (IntervalId i = g_begin; i < g_end; ++i) {
         if (redeliver) {
-          store_.drain_produce_interval(i, bytes);
+          drained_sends += store_.drain_produce_interval(i, bytes);
           continue;
         }
+        absorbed += store_.current_sends(i) - store_.current_count(i);
         const std::size_t before = bytes.size();
         store_.load_interval(i, bytes);
         if (options_.torn_page_recovery) {
@@ -949,8 +973,8 @@ class MultiLogVCEngine {
     }
     g.records = std::move(grouped.records);
     g.offsets = std::move(grouped.offsets);
-    g.consumed = grouped.decoded;
-    g.path = grouped.path;
+    g.consumed = redeliver ? drained_sends : grouped.decoded + absorbed;
+    if (!bytes.empty()) g.path = grouped.path;
     g.sort_group_seconds = sort_timer.elapsed_seconds();
     if (!instrument) g.offthread_seconds = g.sort_group_seconds;
     return g;
@@ -1263,9 +1287,11 @@ class MultiLogVCEngine {
     step.sort_group_seconds += group.sort_group_seconds;
     step.offthread_sort_seconds += group.offthread_seconds;
     step.torn_bytes_dropped += group.torn_bytes_dropped;
+    // Only chains with log input ran a §V.B path (a BSP wave releases
+    // every interval, empty ones included).
     if (group.path == SortGroupPath::kCountingScatter) {
       ++step.groups_scatter;
-    } else {
+    } else if (group.path == SortGroupPath::kComparisonSort) {
       ++step.groups_comparison;
     }
     for (IntervalId i = group.begin; i < group.end; ++i) {
@@ -1351,6 +1377,7 @@ class MultiLogVCEngine {
     const auto io_before =
         ctx_ != nullptr ? query_io_.snapshot() : storage.stats().snapshot();
     const auto dev_before = storage.device().snapshot();
+    const multilog::FoldStats fold_before = store_.fold_stats();
     WallTimer wall;
 
     for (auto& ts : thread_state_) {
@@ -1407,10 +1434,14 @@ class MultiLogVCEngine {
       plan_produced_last_ = messages_produced;
     }
 
+    const multilog::FoldStats fold_after = store_.fold_stats();
     step.messages_produced = messages_produced;
     step.edges_activated = edges_activated;
     step.scatter_flush_count = scatter_flush_count;
     step.scatter_stall_seconds = scatter_stall_seconds;
+    step.log_records_folded =
+        fold_after.records_folded - fold_before.records_folded;
+    step.fold_seconds = fold_after.seconds - fold_before.seconds;
     step.pages_touched = util.pages_touched;
     step.pages_inefficient = util.pages_inefficient;
     step.pages_inefficient_predicted = util.inefficient_predicted;

@@ -41,7 +41,9 @@ struct SuperstepStats {
   /// one group ahead of compute, so it may exceed the critical-path share.
   double sort_group_seconds = 0;
   /// Interval groups handled by each §V.B implementation this superstep
-  /// (the fused counting scatter vs the comparison-sort fallback).
+  /// (the fused counting scatter vs the comparison-sort fallback). Only
+  /// groups with log input count: a BSP wave releases every interval, and
+  /// an empty chain runs neither path.
   std::uint64_t groups_scatter = 0;
   std::uint64_t groups_comparison = 0;
 
@@ -51,6 +53,15 @@ struct SuperstepStats {
   /// scatter path — per-record locking made this the whole send cost).
   std::uint64_t scatter_flush_count = 0;
   double scatter_stall_seconds = 0;
+
+  /// Produce-side log fold (multilog/multilog_store.hpp; combinable apps
+  /// with combining on, zero otherwise): sends the fold combined away
+  /// before they reached the log, and the CPU time it spent folding. The
+  /// fold runs outside the interval locks, so scatter_stall_seconds does
+  /// not include it. messages_produced and messages_consumed still count
+  /// sends.
+  std::uint64_t log_records_folded = 0;
+  double fold_seconds = 0;
 
   /// Bytes dropped from torn trailing log pages this superstep (crash
   /// recovery with options.torn_page_recovery; always 0 on a healthy run).
@@ -122,6 +133,10 @@ struct RunStats {
   /// only when the run both requested it and executed on a striped store
   /// with a kHasCombine app. Engines without a combine report "host".
   std::string combine_placement = "host";
+  /// Intervals too wide for the produce-side fold's direct-addressed
+  /// scratch (MultiLogStore::kFoldScratchMaxBytes): their sends are logged
+  /// unfolded. 0 when the run does not fold.
+  std::uint64_t fold_wide_intervals = 0;
   /// Striped devices of the run's Storage (1 = single-file layout).
   std::uint64_t num_devices = 1;
   /// Message movement direction the run resolved to ("push" / "pull" /
@@ -195,6 +210,16 @@ struct RunStats {
   double scatter_stall_seconds() const {
     double t = 0;
     for (const auto& s : supersteps) t += s.scatter_stall_seconds;
+    return t;
+  }
+  std::uint64_t log_records_folded() const {
+    std::uint64_t t = 0;
+    for (const auto& s : supersteps) t += s.log_records_folded;
+    return t;
+  }
+  double fold_seconds() const {
+    double t = 0;
+    for (const auto& s : supersteps) t += s.fold_seconds;
     return t;
   }
   double io_wait_seconds() const {

@@ -115,6 +115,9 @@ void write_json(const core::RunStats& stats, std::ostream& out) {
       << ",\"groups_comparison\":" << stats.groups_comparison()
       << ",\"scatter_flush_count\":" << stats.scatter_flush_count()
       << ",\"scatter_stall_seconds\":" << stats.scatter_stall_seconds()
+      << ",\"log_records_folded\":" << stats.log_records_folded()
+      << ",\"fold_seconds\":" << stats.fold_seconds()
+      << ",\"fold_wide_intervals\":" << stats.fold_wide_intervals
       << ",\"io_wait_seconds\":" << stats.io_wait_seconds()
       << ",\"io_retries\":" << stats.io_retries()
       << ",\"io_giveups\":" << stats.io_giveups()
@@ -154,6 +157,8 @@ void write_json(const core::RunStats& stats, std::ostream& out) {
         << ",\"groups_comparison\":" << s.groups_comparison
         << ",\"scatter_flush_count\":" << s.scatter_flush_count
         << ",\"scatter_stall_seconds\":" << s.scatter_stall_seconds
+        << ",\"log_records_folded\":" << s.log_records_folded
+        << ",\"fold_seconds\":" << s.fold_seconds
         << ",\"io_wall_seconds\":" << s.io_wall_seconds
         << ",\"total_wall_seconds\":" << s.total_wall_seconds
         << ",\"torn_bytes_dropped\":" << s.torn_bytes_dropped

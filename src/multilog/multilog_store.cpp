@@ -1,6 +1,7 @@
 #include "multilog/multilog_store.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cstring>
 
 #include "common/error.hpp"
@@ -8,6 +9,26 @@
 #include "multilog/log_codec.hpp"
 
 namespace mlvc::multilog {
+
+namespace {
+
+/// Per-thread fold scratch: an accumulator record and a presence bit per
+/// destination of the widest interval folded so far (the bitmap is all zero
+/// between folds), and a spare page the flushing thread swaps with an
+/// interval's full fold buffer. Grows to its high-water mark, then a fold
+/// allocates nothing.
+struct FoldScratch {
+  std::vector<std::byte> acc;
+  std::vector<std::uint64_t> present;
+  std::vector<std::byte> spare;
+};
+
+FoldScratch& fold_scratch() {
+  thread_local FoldScratch scratch;
+  return scratch;
+}
+
+}  // namespace
 
 MultiLogStore::MultiLogStore(ssd::Storage& storage, std::string prefix,
                              const graph::VertexIntervals& intervals,
@@ -65,6 +86,17 @@ MultiLogStore::MultiLogStore(ssd::Storage& storage, std::string prefix,
       staging_slot_bytes_ -= staging_slot_bytes_ % config_.record_size;
     }
   }
+  if (config_.combine) {
+    fold_page_bytes_ =
+        (page_size_ / config_.record_size) * config_.record_size;
+    fold_bufs_.resize(n);
+    for (IntervalId i = 0; i < n; ++i) {
+      fold_bufs_[i].direct = static_cast<std::uint64_t>(intervals.width(i)) *
+                                 config_.record_size <=
+                             kFoldScratchMaxBytes;
+      if (!fold_bufs_[i].direct) ++fold_wide_;
+    }
+  }
   interval_locks_.reserve(n);
   for (IntervalId i = 0; i < n; ++i) {
     interval_locks_.push_back(std::make_unique<std::mutex>());
@@ -101,12 +133,28 @@ void MultiLogStore::reset_generation(Generation& gen,
   gen.top.assign(n, {});
   gen.top_fill.assign(n, 0);
   gen.counts.assign(n, 0);
+  gen.sends.assign(n, 0);
   gen.next_page = 0;
 }
 
-void MultiLogStore::append_bytes_locked(Generation& gen, IntervalId i,
-                                        const std::byte* data, std::size_t len,
-                                        std::uint64_t n_records) {
+void MultiLogStore::note_sends_locked(IntervalId i, std::uint64_t n) {
+  // Quiesce signal: every produce-side append funnels through here (all
+  // call sites pass the produce generation), so the per-interval sequence
+  // advances exactly when interval i's pending sends grow — whether they
+  // sit in the fold buffer or the log.
+  produce_seq_[i].fetch_add(n, std::memory_order_relaxed);
+  // Logical (decoded) produce bytes count sends, regardless of on-disk
+  // format and of the fold — the physical side is whatever the eviction
+  // batches hand the blob.
+  storage_.stats().record_logical_write(ssd::IoCategory::kMessageLog,
+                                        n * config_.record_size);
+}
+
+void MultiLogStore::append_stream_locked(Generation& gen, IntervalId i,
+                                         const std::byte* data,
+                                         std::size_t len,
+                                         std::uint64_t n_records,
+                                         std::uint64_t n_sends) {
   auto& top = gen.top[i];
   if (top.empty()) top.resize(page_size_);  // zero-fills the slack tail too
   std::size_t& fill = gen.top_fill[i];
@@ -127,34 +175,179 @@ void MultiLogStore::append_bytes_locked(Generation& gen, IntervalId i,
     }
   }
   gen.counts[i] += n_records;
-  // Quiesce signal: every produce-side append funnels through here (both
-  // call sites pass the produce generation), so the per-interval sequence
-  // advances exactly when interval i's pending log grows.
-  produce_seq_[i].fetch_add(n_records, std::memory_order_relaxed);
-  // Logical (decoded) produce bytes, regardless of on-disk format — the
-  // physical side is whatever the eviction batches hand the blob.
-  storage_.stats().record_logical_write(ssd::IoCategory::kMessageLog,
-                                        n_records * config_.record_size);
+  gen.sends[i] += n_sends;
+}
+
+std::span<const std::byte> MultiLogStore::stream_form(const std::byte* records,
+                                                      std::size_t n) const {
+  if (config_.format != OnDiskFormat::kV2) {
+    return {records, n * config_.record_size};
+  }
+  thread_local std::vector<std::uint8_t> enc;
+  enc.clear();
+  encode_log_records(records, n, config_.record_size, config_.payload_varint,
+                     enc);
+  return std::as_bytes(std::span<const std::uint8_t>(enc));
+}
+
+namespace {
+
+/// The fold loop of MultiLogStore::fold_records. kRecordSize fixes the
+/// record copies at compile time for the 8-byte records of every combinable
+/// app (a 4-byte message); 0 takes the size at runtime from `rs`.
+template <std::size_t kRecordSize>
+std::size_t fold_direct(std::byte* records, std::size_t n, std::size_t rs,
+                        VertexId base, std::size_t width,
+                        const MultiLogConfig& config, FoldScratch& s) {
+  if constexpr (kRecordSize != 0) rs = kRecordSize;
+  // Direct addressing by dst - base: the first record of a destination
+  // seeds its accumulator, later ones combine into it (arrival order, the
+  // same left fold sort_and_group applies on load).
+  std::size_t lo = width;
+  std::size_t hi = 0;
+  for (std::size_t k = 0; k < n; ++k) {
+    const std::byte* rec = records + k * rs;
+    VertexId dst;
+    std::memcpy(&dst, rec, sizeof(dst));
+    const std::size_t off = dst - base;
+    std::byte* acc = s.acc.data() + off * rs;
+    std::uint64_t& word = s.present[off / 64];
+    const std::uint64_t bit = std::uint64_t{1} << (off % 64);
+    if ((word & bit) != 0) {
+      config.combine(acc, rec);
+    } else {
+      word |= bit;
+      std::memcpy(acc, rec, rs);
+      lo = std::min(lo, off);
+      hi = std::max(hi, off);
+    }
+  }
+  // Emit ascending by destination — sorted output keeps v2 destination
+  // deltas short — and clear the bitmap on the way.
+  std::size_t out = 0;
+  for (std::size_t w = lo / 64; w <= hi / 64; ++w) {
+    std::uint64_t word = s.present[w];
+    s.present[w] = 0;
+    while (word != 0) {
+      const std::size_t off = w * 64 + std::countr_zero(word);
+      word &= word - 1;
+      std::memcpy(records + out * rs, s.acc.data() + off * rs, rs);
+      ++out;
+    }
+  }
+  return out;
+}
+
+}  // namespace
+
+std::size_t MultiLogStore::fold_records(IntervalId i, std::byte* records,
+                                        std::size_t n) {
+  if (n == 0) return 0;
+  WallTimer timer;
+  const std::size_t rs = config_.record_size;
+  const VertexId base = intervals_->begin(i);
+  const std::size_t width = intervals_->width(i);
+  FoldScratch& s = fold_scratch();
+  if (s.acc.size() < width * rs) s.acc.resize(width * rs);
+  if (s.present.size() < (width + 63) / 64) {
+    s.present.resize((width + 63) / 64, 0);
+  }
+  std::size_t out = 0;
+  switch (rs) {
+    case 8:
+      out = fold_direct<8>(records, n, rs, base, width, config_, s);
+      break;
+    default:
+      out = fold_direct<0>(records, n, rs, base, width, config_, s);
+  }
+  records_folded_.fetch_add(n - out, std::memory_order_relaxed);
+  fold_nanos_.fetch_add(timer.elapsed_nanos(), std::memory_order_relaxed);
+  return out;
+}
+
+double MultiLogStore::fold_append(IntervalId i, const std::byte* records,
+                                  std::size_t n) {
+  Generation& gen = generations_[produce_index_];
+  FoldBuffer& fb = fold_bufs_[i];
+  const std::size_t rs = config_.record_size;
+  std::unique_lock<std::mutex> lock(*interval_locks_[i], std::defer_lock);
+  double held = 0;
+  WallTimer timer;
+  const auto acquire = [&] {
+    timer.reset();
+    lock.lock();
+  };
+  const auto release = [&] {
+    lock.unlock();
+    held += timer.elapsed_seconds();
+  };
+  acquire();
+  note_sends_locked(i, n);
+  if (fb.buf.size() != fold_page_bytes_) fb.buf.resize(fold_page_bytes_);
+  std::size_t len = n * rs;
+  while (true) {
+    const std::size_t take = std::min(len, fold_page_bytes_ - fb.fill);
+    std::memcpy(fb.buf.data() + fb.fill, records, take);
+    fb.fill += take;
+    fb.sends += take / rs;
+    records += take;
+    len -= take;
+    if (fb.fill < fold_page_bytes_) break;
+    // Full: swap the buffer out and fold it with the lock released, so
+    // other producers keep appending to the fresh buffer meanwhile.
+    FoldScratch& s = fold_scratch();
+    s.spare.resize(fold_page_bytes_);
+    fb.buf.swap(s.spare);
+    const std::uint64_t sends = fb.sends;
+    fb.fill = 0;
+    fb.sends = 0;
+    release();
+    const std::size_t cap = fold_page_bytes_ / rs;
+    const std::size_t kept = fold_records(i, s.spare.data(), cap);
+    const std::size_t kept_bytes = kept * rs;
+    if (kept * 2 <= cap) {
+      // Few survivors: they go back and keep folding with later sends —
+      // unless concurrent producers refilled the buffer meanwhile.
+      acquire();
+      if (fb.fill + kept_bytes <= fold_page_bytes_) {
+        std::memcpy(fb.buf.data() + fb.fill, s.spare.data(), kept_bytes);
+        fb.fill += kept_bytes;
+        fb.sends += sends;
+        continue;
+      }
+      release();
+    }
+    const auto stream = stream_form(s.spare.data(), kept);
+    acquire();
+    append_stream_locked(gen, i, stream.data(), stream.size(), kept, sends);
+  }
+  release();
+  return held;
+}
+
+void MultiLogStore::spill_fold_locked(Generation& gen, IntervalId i) {
+  FoldBuffer& fb = fold_bufs_[i];
+  if (fb.fill == 0) return;
+  const std::size_t kept =
+      fold_records(i, fb.buf.data(), fb.fill / config_.record_size);
+  const auto stream = stream_form(fb.buf.data(), kept);
+  append_stream_locked(gen, i, stream.data(), stream.size(), kept, fb.sends);
+  fb.fill = 0;
+  fb.sends = 0;
 }
 
 void MultiLogStore::append_single(IntervalId i, const void* record) {
-  Generation& gen = generations_[produce_index_];
-  if (config_.format == OnDiskFormat::kV2) {
-    // One-record chunk (the locked slow path trades compression for
-    // simplicity; the staged path encodes whole slots).
-    thread_local std::vector<std::uint8_t> enc;
-    enc.clear();
-    encode_log_records(static_cast<const std::byte*>(record), 1,
-                       config_.record_size, config_.payload_varint, enc);
-    std::lock_guard<std::mutex> lock(*interval_locks_[i]);
-    append_bytes_locked(gen, i,
-                        reinterpret_cast<const std::byte*>(enc.data()),
-                        enc.size(), 1);
+  const auto* rec = static_cast<const std::byte*>(record);
+  if (folds(i)) {
+    fold_append(i, rec, 1);
     return;
   }
+  // Under v2 a one-record chunk: the locked slow path trades compression
+  // for simplicity; the staged path encodes whole slots.
+  const auto stream = stream_form(rec, 1);
+  Generation& gen = generations_[produce_index_];
   std::lock_guard<std::mutex> lock(*interval_locks_[i]);
-  append_bytes_locked(gen, i, static_cast<const std::byte*>(record),
-                      config_.record_size, 1);
+  append_bytes_locked(gen, i, stream.data(), stream.size(), 1);
 }
 
 void MultiLogStore::append(VertexId dst, const void* record) {
@@ -208,27 +401,23 @@ void MultiLogStore::flush_slot(Staging& staging, IntervalId i) {
                  "staging flushed across a generation swap — flush_staging() "
                  "before swap_generations()");
   const std::uint64_t n_records = slot.fill / config_.record_size;
-  const std::byte* data = slot.buf.data();
-  std::size_t len = slot.fill;
-  // v2: delta+varint encode the staged slot on the producing thread, outside
-  // the interval lock — this is where the compression work happens on the
-  // lock-free produce path. Destinations within a slot cluster (sends walk
-  // sorted adjacency lists), so the delta stream stays short.
-  thread_local std::vector<std::uint8_t> enc;
-  if (config_.format == OnDiskFormat::kV2) {
-    enc.clear();
-    encode_log_records(data, n_records, config_.record_size,
-                       config_.payload_varint, enc);
-    data = reinterpret_cast<const std::byte*>(enc.data());
-    len = enc.size();
+  if (folds(i)) {
+    // Raw records go to the fold buffer; encoding waits for the survivors.
+    staging.stall_seconds_ += fold_append(i, slot.buf.data(), n_records);
+  } else {
+    // v2: delta+varint encode the staged slot on the producing thread,
+    // outside the interval lock — this is where the compression work happens
+    // on the lock-free produce path. Destinations within a slot cluster
+    // (sends walk sorted adjacency lists), so the delta stream stays short.
+    const auto stream = stream_form(slot.buf.data(), n_records);
+    WallTimer timer;
+    {
+      Generation& gen = generations_[produce_index_];
+      std::lock_guard<std::mutex> lock(*interval_locks_[i]);
+      append_bytes_locked(gen, i, stream.data(), stream.size(), n_records);
+    }
+    staging.stall_seconds_ += timer.elapsed_seconds();
   }
-  WallTimer timer;
-  {
-    Generation& gen = generations_[produce_index_];
-    std::lock_guard<std::mutex> lock(*interval_locks_[i]);
-    append_bytes_locked(gen, i, data, len, n_records);
-  }
-  staging.stall_seconds_ += timer.elapsed_seconds();
   ++staging.flush_count_;
   slot.fill = 0;  // keeps the buffer; slot stays on the dirty list
 }
@@ -245,7 +434,7 @@ std::uint64_t MultiLogStore::produced_count(IntervalId i) const {
   MLVC_CHECK(i < intervals_->count());
   const Generation& gen = generations_[produce_index_];
   std::lock_guard<std::mutex> lock(*interval_locks_[i]);
-  return gen.counts[i];
+  return gen.sends[i] + (folds(i) ? fold_bufs_[i].sends : 0);
 }
 
 void MultiLogStore::queue_eviction(Generation& gen, IntervalId interval,
@@ -298,6 +487,13 @@ void MultiLogStore::wait_background_evictions() {
 }
 
 void MultiLogStore::swap_generations() {
+  // Fold buffers empty into their logs before anything reads them.
+  Generation& produce = generations_[produce_index_];
+  for (IntervalId i = 0; i < static_cast<IntervalId>(fold_bufs_.size());
+       ++i) {
+    std::lock_guard<std::mutex> lock(*interval_locks_[i]);
+    spill_fold_locked(produce, i);
+  }
   // Everything queued for eviction must be on storage before the produce
   // generation becomes readable.
   {
@@ -318,6 +514,11 @@ void MultiLogStore::swap_generations() {
 std::uint64_t MultiLogStore::current_count(IntervalId i) const {
   MLVC_CHECK(i < intervals_->count());
   return generations_[1 - produce_index_].counts[i];
+}
+
+std::uint64_t MultiLogStore::current_sends(IntervalId i) const {
+  MLVC_CHECK(i < intervals_->count());
+  return generations_[1 - produce_index_].sends[i];
 }
 
 std::uint64_t MultiLogStore::total_current_count() const {
@@ -347,7 +548,11 @@ void MultiLogStore::load_interval(IntervalId i,
   storage_.stats().record_logical_read(ssd::IoCategory::kMessageLog, logical);
   const std::size_t base = out.size();
   out.resize(base + bytes);
-  std::byte* dst = out.data() + base;
+  read_stream(gen, i, out.data() + base, bytes);
+}
+
+void MultiLogStore::read_stream(const Generation& gen, IntervalId i,
+                                std::byte* dst, std::uint64_t bytes) const {
   std::size_t written = 0;
   // Runs of adjacent page numbers (frequent thanks to batched eviction)
   // coalesce into one op each; the whole interval is then fetched with a
@@ -395,6 +600,10 @@ void MultiLogStore::reset_all() {
     } catch (...) {
     }
   }
+  for (FoldBuffer& fb : fold_bufs_) {
+    fb.fill = 0;
+    fb.sends = 0;
+  }
   ++swap_count_;
   reset_generation(generations_[0],
                    prefix_ + "/log_reset0_s" + std::to_string(swap_count_));
@@ -440,6 +649,7 @@ void MultiLogStore::restore_current_interval(
     gen.top_fill[i] = tail;
   }
   gen.counts[i] = n_records;
+  gen.sends[i] = n_records;
 }
 
 std::uint64_t MultiLogStore::drain_produce_interval(
@@ -453,33 +663,26 @@ std::uint64_t MultiLogStore::drain_produce_interval(
   // is complete; holding evict_mutex_ across the reads keeps concurrent
   // drains/appends of *other* intervals from growing gen.pages under us.
   std::lock_guard<std::mutex> lock(*interval_locks_[i]);
+  // The fold buffer's survivors join the log first (this may queue an
+  // eviction, so it runs before evict_mutex_ is taken).
+  if (folds(i)) spill_fold_locked(gen, i);
   std::lock_guard<std::mutex> evict_lock(evict_mutex_);
   flush_evictions(gen);
   wait_background_evictions();
   const std::uint64_t count = gen.counts[i];
-  const std::uint64_t bytes = config_.format == OnDiskFormat::kV2
-                                  ? stream_bytes(gen, i)
-                                  : count * config_.record_size;
+  const std::uint64_t sends = gen.sends[i];
+  const std::uint64_t bytes = stream_bytes(gen, i);
   if (bytes == 0) return 0;
   storage_.stats().record_logical_read(ssd::IoCategory::kMessageLog,
                                        count * config_.record_size);
   const std::size_t base = out.size();
   out.resize(base + bytes);
-  std::byte* dst = out.data() + base;
-  std::size_t written = 0;
-  for (std::uint64_t page_no : gen.pages[i]) {
-    gen.blob->read(page_no * page_size_, dst + written, usable_page_bytes_);
-    written += usable_page_bytes_;
-  }
-  if (gen.top_fill[i] > 0) {
-    std::memcpy(dst + written, gen.top[i].data(), gen.top_fill[i]);
-    written += gen.top_fill[i];
-  }
-  MLVC_CHECK(written == bytes);
+  read_stream(gen, i, out.data() + base, bytes);
   gen.pages[i].clear();
   gen.top_fill[i] = 0;
   gen.counts[i] = 0;
-  return count;
+  gen.sends[i] = 0;
+  return sends;
 }
 
 }  // namespace mlvc::multilog

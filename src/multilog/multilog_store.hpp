@@ -15,6 +15,18 @@
 // this superstep's sends). swap_generations() rotates them at the superstep
 // boundary.
 //
+// Produce-side fold. When the config carries a combine operator (the
+// engine sets one for combinable apps with combining on), sends do not go
+// straight into the top page: each interval also keeps a one-page *fold
+// buffer* of raw records. When it fills, the flushing thread swaps it out,
+// combines it per destination outside the interval lock, and either puts
+// the survivors back (when they fill at most half the buffer) or appends
+// them — ascending by destination — to the top page. Only survivors reach
+// storage, so a sum or min app writes and reads back far fewer log bytes.
+// This departs on purpose from the paper, which combines only after the log
+// is loaded (§V.D); apps without a combine keep every message. Folded
+// records are ordinary records: the read side is unchanged.
+//
 // The store is byte-oriented (record_size fixed at construction) so it can
 // be compiled once and unit-tested independently of any message type; the
 // engine layers a typed view on top (multilog/record.hpp).
@@ -23,8 +35,10 @@
 #include <atomic>
 #include <cstddef>
 #include <cstring>
+#include <functional>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -52,8 +66,9 @@ struct MultiLogConfig {
   /// records). Must match multilog::kPayloadVarint<Message> for typed use.
   bool payload_varint = false;
   /// Host memory available for top pages (A% of the budget, §V.A.3). The
-  /// paper notes at least one page per interval must be resident; we enforce
-  /// exactly one top page per interval and check the budget covers it.
+  /// paper notes at least one page per interval must be resident; we keep
+  /// exactly one top page per interval (plus, with a combine, one fold-buffer
+  /// page: at most two pages per interval) and check the budget covers one.
   std::size_t buffer_budget_bytes = 0;  // 0 = don't enforce
 
   /// Per-thread, per-interval staging depth (records) for append_staged().
@@ -86,6 +101,21 @@ struct MultiLogConfig {
   /// over an existing storage directory is legal there (test_checkpoint
   /// does exactly that).
   bool expect_fresh_blobs = false;
+
+  /// Combines the record at `rec` into the record at `acc` (same
+  /// destination, both record_size bytes). Set = fold sends per destination
+  /// on the produce path (see the file comment); empty = keep every record.
+  /// The operator must be associative and commutative.
+  std::function<void(std::byte* acc, const std::byte* rec)> combine = {};
+};
+
+/// Cumulative produce-side fold counters of one store (diff two snapshots
+/// for a window).
+struct FoldStats {
+  /// Sends the fold combined away (sends in minus records out).
+  std::uint64_t records_folded = 0;
+  /// CPU time spent folding, outside every interval lock.
+  double seconds = 0;
 };
 
 class MultiLogStore {
@@ -194,11 +224,13 @@ class MultiLogStore {
   /// is zero padding, written but never read back.
   std::size_t usable_page_bytes() const noexcept { return usable_page_bytes_; }
 
-  /// Records appended to interval i's produce-generation log so far. This is
-  /// the counter §V.A.2 uses to estimate log sizes for interval fusion.
+  /// Sends appended to interval i's produce generation so far, including
+  /// records still in its fold buffer and records the fold absorbed (exact
+  /// when no append to i is in flight: a buffer being folded counts again
+  /// once its survivors land).
   std::uint64_t produced_count(IntervalId i) const;
 
-  /// Per-interval producer sequence: total records ever appended to interval
+  /// Per-interval producer sequence: total sends ever appended to interval
   /// i's produce side, monotone across generation swaps (never reset). This
   /// is the interval-granular quiesce signal the scheduler uses: a chain
   /// records the sequence right after draining i's log, and any later
@@ -209,17 +241,39 @@ class MultiLogStore {
     return produce_seq_[i].load(std::memory_order_relaxed);
   }
 
+  /// Cumulative fold counters (all zero when the config has no combine).
+  FoldStats fold_stats() const noexcept {
+    return {records_folded_.load(std::memory_order_relaxed),
+            static_cast<double>(fold_nanos_.load(std::memory_order_relaxed)) *
+                1e-9};
+  }
+
+  /// Intervals too wide for the fold's direct-addressed scratch
+  /// (width x record_size > kFoldScratchMaxBytes). Their sends bypass the
+  /// fold buffer and are logged unfolded. 0 when the fold is off.
+  IntervalId fold_wide_intervals() const noexcept { return fold_wide_; }
+
+  /// Cap on the per-thread fold scratch: one accumulator record per
+  /// destination of the interval being folded.
+  static constexpr std::size_t kFoldScratchMaxBytes = 8u << 20;
+
   // ---- superstep boundary --------------------------------------------------
 
-  /// Discard the consumed generation, make the produced one current. Partial
-  /// top pages stay in host memory and are served from there on load (no
-  /// I/O charged — they never left the host).
+  /// Fold and append every fold buffer into its log, discard the consumed
+  /// generation, make the produced one current. Partial top pages stay in
+  /// host memory and are served from there on load (no I/O charged — they
+  /// never left the host).
   void swap_generations();
 
   // ---- consume side (messages sent during the *previous* superstep) -------
 
+  /// Records stored in interval i's current log (after the fold).
   std::uint64_t current_count(IntervalId i) const;
   std::uint64_t total_current_count() const;
+  /// Sends that produced interval i's current log: current_count(i) plus
+  /// the records the fold absorbed. A log restored from a checkpoint image
+  /// only knows its stored records, so there the two are equal.
+  std::uint64_t current_sends(IntervalId i) const;
 
   /// Logical (decoded) byte size of interval i's current log — records x
   /// record_size regardless of on-disk format, which is what fusion planning
@@ -243,7 +297,8 @@ class MultiLogStore {
   /// reset_all() first so both generations start empty.
   void restore_current_interval(IntervalId i, std::span<const std::byte> bytes);
 
-  /// Drop all logs in both generations (checkpoint rollback).
+  /// Drop all logs in both generations, fold buffers included (checkpoint
+  /// rollback).
   void reset_all();
 
   /// Asynchronous-mode support (§V.F): move everything appended to interval
@@ -251,7 +306,8 @@ class MultiLogStore {
   /// sent earlier in the same superstep can be delivered to intervals
   /// processed later ("the latest updates from the source vertices will be
   /// delivered to the target vertices, either from the current superstep or
-  /// the previous one"). Returns the number of records drained.
+  /// the previous one"). Returns the sends behind the drained records
+  /// (with a combine, fewer records than sends).
   std::uint64_t drain_produce_interval(IntervalId i,
                                        std::vector<std::byte>& out);
 
@@ -262,6 +318,7 @@ class MultiLogStore {
     std::vector<std::vector<std::byte>> top;         // per-interval tail
     std::vector<std::size_t> top_fill;               // bytes used in tail
     std::vector<std::uint64_t> counts;               // records per interval
+    std::vector<std::uint64_t> sends;                // sends behind counts
     // Eviction queue: full pages awaiting one batched contiguous append.
     std::vector<std::byte> evict_buffer;
     std::vector<IntervalId> evict_owners;
@@ -269,22 +326,58 @@ class MultiLogStore {
   };
 
   void reset_generation(Generation& gen, const std::string& blob_name);
-  /// Copy `len` stream bytes carrying `n_records` records into interval i's
-  /// top page, evicting each page as it fills (to usable_page_bytes_, which
-  /// is the whole page under v2 — encoded chunks straddle pages). Caller
-  /// holds interval i's lock. Under v1, len is n_records whole records and
-  /// records never straddle a page boundary.
+  /// Count `n` new sends to interval i at append time: the produce
+  /// sequence and the logical write bytes. Caller holds interval i's lock.
+  void note_sends_locked(IntervalId i, std::uint64_t n);
+  /// Copy `len` stream bytes carrying `n_records` records, which stand for
+  /// `n_sends` sends, into interval i's top page, evicting each page as it
+  /// fills (to usable_page_bytes_, which is the whole page under v2 —
+  /// encoded chunks straddle pages). Caller holds interval i's lock. Under
+  /// v1, len is n_records whole records and records never straddle a page
+  /// boundary.
+  void append_stream_locked(Generation& gen, IntervalId i,
+                            const std::byte* data, std::size_t len,
+                            std::uint64_t n_records, std::uint64_t n_sends);
+  /// note_sends_locked + append_stream_locked: records that bypass the fold.
   void append_bytes_locked(Generation& gen, IntervalId i,
                            const std::byte* data, std::size_t len,
-                           std::uint64_t n_records);
+                           std::uint64_t n_records) {
+    note_sends_locked(i, n_records);
+    append_stream_locked(gen, i, data, len, n_records, n_records);
+  }
   /// Locked-path single-record append (append() and the staging-off slow
   /// path): encodes under v2, raw copy under v1.
   void append_single(IntervalId i, const void* record);
+  /// True when interval i's sends go through its fold buffer.
+  bool folds(IntervalId i) const noexcept {
+    return !fold_bufs_.empty() && fold_bufs_[i].direct;
+  }
+  /// Append `n` raw records to interval i's fold buffer, folding each time
+  /// it fills (outside the lock). Returns the seconds spent waiting for and
+  /// holding the interval lock.
+  double fold_append(IntervalId i, const std::byte* records, std::size_t n);
+  /// Combine `n` raw records of interval i in place: the survivors, one per
+  /// destination in ascending order, overwrite the front of `records`.
+  /// Returns their count. O(1) per record plus one bitmap word per 64
+  /// destinations spanned; needs no lock.
+  std::size_t fold_records(IntervalId i, std::byte* records, std::size_t n);
+  /// Fold interval i's buffer and append the survivors to its log. Caller
+  /// holds interval i's lock.
+  void spill_fold_locked(Generation& gen, IntervalId i);
+  /// The stream form of `n` raw records: the records themselves under v1,
+  /// their chunk encoding (in thread-local scratch) under v2.
+  std::span<const std::byte> stream_form(const std::byte* records,
+                                         std::size_t n) const;
   /// Physical stream bytes of interval i in `gen`: spilled pages plus the
   /// resident tail. Equals counts[i] * record_size under v1.
   std::uint64_t stream_bytes(const Generation& gen, IntervalId i) const {
     return gen.pages[i].size() * usable_page_bytes_ + gen.top_fill[i];
   }
+  /// Copy interval i's stream in `gen` — its spilled pages (adjacent
+  /// pages read as one op) then its resident tail — into `dst`, which
+  /// holds `bytes` == stream_bytes(gen, i).
+  void read_stream(const Generation& gen, IntervalId i, std::byte* dst,
+                   std::uint64_t bytes) const;
   /// Flush one staging slot's buffered records under the interval lock.
   void flush_slot(Staging& staging, IntervalId i);
   /// append_staged cold path: interval-cache refresh, first touch of a slot
@@ -309,6 +402,21 @@ class MultiLogStore {
   /// Capacity of one staging slot in bytes (whole records); 0 = staging off.
   std::size_t staging_slot_bytes_ = 0;
 
+  /// One page of raw records per interval, produce side only; guarded by
+  /// the interval lock. Empty when the config has no combine.
+  struct FoldBuffer {
+    std::vector<std::byte> buf;  // fold_page_bytes_ once first used
+    std::size_t fill = 0;
+    std::uint64_t sends = 0;  // sends the buffered records stand for
+    bool direct = false;      // narrow enough for the direct-addressed fold
+  };
+  std::vector<FoldBuffer> fold_bufs_;
+  /// Whole records per fold buffer: floor(page_size / record_size) of them.
+  std::size_t fold_page_bytes_ = 0;
+  IntervalId fold_wide_ = 0;
+  std::atomic<std::uint64_t> records_folded_{0};
+  std::atomic<std::uint64_t> fold_nanos_{0};
+
   std::vector<std::unique_ptr<std::mutex>> interval_locks_;
   mutable std::mutex evict_mutex_;
   ssd::IoBatch pending_evictions_;  // guarded by evict_mutex_
@@ -316,7 +424,7 @@ class MultiLogStore {
   unsigned produce_index_ = 0;  // generations_[produce_index_] receives sends
   unsigned swap_count_ = 0;
   /// Monotone per-interval producer sequence (see produce_seq()); bumped in
-  /// append_bytes_locked, the single funnel every produce-side append passes
+  /// note_sends_locked, the single funnel every produce-side append passes
   /// through. Atomic so the scheduler can read it without the interval lock.
   std::unique_ptr<std::atomic<std::uint64_t>[]> produce_seq_;
 };

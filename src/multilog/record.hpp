@@ -6,6 +6,7 @@
 #pragma once
 
 #include <cstring>
+#include <functional>
 #include <span>
 #include <type_traits>
 #include <vector>
@@ -42,6 +43,22 @@ void append_record_staged(MultiLogStore& store, MultiLogStore::Staging& staging,
                           VertexId dst, const Message& m) {
   Record<Message> rec{dst, m};
   store.append_staged_fixed<sizeof(rec)>(staging, dst, &rec);
+}
+
+/// A MultiLogConfig::combine over typed records: folds the payload of
+/// `rec` into the payload of `acc` as combine(acc, rec), the order
+/// sort_and_group's combine uses.
+template <typename Message, typename Combine>
+std::function<void(std::byte*, const std::byte*)> record_combiner(
+    Combine combine) {
+  return [combine](std::byte* acc, const std::byte* rec) {
+    Record<Message> a;
+    Record<Message> r;
+    std::memcpy(&a, acc, sizeof(a));
+    std::memcpy(&r, rec, sizeof(r));
+    a.payload = combine(a.payload, r.payload);
+    std::memcpy(acc, &a, sizeof(a));
+  };
 }
 
 // TornPagePolicy lives in multilog/log_codec.hpp (shared by the v1 record
@@ -91,7 +108,8 @@ std::size_t checked_record_count(std::span<const std::byte> bytes,
 template <typename Message>
 std::vector<Record<Message>> decode_records(std::span<const std::byte> bytes) {
   std::vector<Record<Message>> out(checked_record_count<Message>(bytes));
-  std::memcpy(out.data(), bytes.data(), bytes.size());
+  // An empty buffer may have a null data(), which memcpy must not see.
+  if (!out.empty()) std::memcpy(out.data(), bytes.data(), bytes.size());
   return out;
 }
 

@@ -89,9 +89,10 @@ TEST(EngineFeatures, CombineOnOffSameResultsForBfs) {
 }
 
 TEST(EngineFeatures, CombineChangesComputeNotLogTraffic) {
-  // In MultiLogVC the combine operator (§V.D) runs *after* the interval log
-  // is loaded — unlike GraFBoost, where combining shrinks the on-storage
-  // log. So toggling it must leave log record counts identical (and, for a
+  // The combine operator (§V.D) also folds sends on the produce path before
+  // they spill, so — as in GraFBoost — combining shrinks the on-storage log
+  // (tests/test_log_fold.cpp pins that). messages_consumed counts sends, not
+  // stored records, so toggling combine must leave it identical (and, for a
   // sum-combine app like PageRank, the results equal up to float
   // reassociation).
   const auto csr = feature_graph();

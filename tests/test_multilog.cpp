@@ -265,6 +265,45 @@ TEST(MultiLogStore, DrainProduceForAsyncMode) {
   EXPECT_EQ(store.current_count(1), 0u);
 }
 
+TEST(MultiLogStore, DrainReadsCostTheSameAsLoads) {
+  // A drain reads an interval's adjacent spilled pages as one transfer, as
+  // a load does, so both pay the same modeled device time for the same log.
+  const auto iv = graph::VertexIntervals::uniform(20, 10);
+  const auto fill = [](MultiLogStore& store) {
+    for (std::uint32_t k = 0; k < 5000; ++k) {  // ~10 pages, adjacent
+      append_record<std::uint32_t>(store, 15, k);
+    }
+  };
+  const auto read_cost = [](Env& env, const auto& read) {
+    const auto before = env.storage.device().snapshot();
+    read();
+    return env.storage.device().modeled_seconds_between(
+        before, env.storage.device().snapshot());
+  };
+
+  Env drain_env;
+  MultiLogStore drained(drain_env.storage, "t", iv, {.record_size = 8});
+  fill(drained);
+  std::vector<std::byte> drain_bytes;
+  // Flushes the eviction queue first, outside the measured read.
+  drained.drain_produce_interval(0, drain_bytes);
+  const double drain_cost = read_cost(
+      drain_env, [&] { drained.drain_produce_interval(1, drain_bytes); });
+
+  Env load_env;
+  MultiLogStore loaded(load_env.storage, "t", iv, {.record_size = 8});
+  fill(loaded);
+  loaded.swap_generations();
+  std::vector<std::byte> load_bytes;
+  const double load_cost =
+      read_cost(load_env, [&] { loaded.load_interval(1, load_bytes); });
+
+  ASSERT_GT(loaded.current_pages(1), 1u);
+  EXPECT_EQ(drain_bytes, load_bytes);
+  EXPECT_GT(load_cost, 0.0);
+  EXPECT_DOUBLE_EQ(drain_cost, load_cost);
+}
+
 TEST(MultiLogStore, BatchedEvictionKeepsAccountingExact) {
   Env env;
   const auto iv = graph::VertexIntervals::uniform(16, 4);
@@ -473,6 +512,441 @@ TEST(MultiLogStore, RejectsBadRecordGeometry) {
                Error);
   EXPECT_THROW(MultiLogStore(env.storage, "t", iv, {.record_size = 8_KiB}),
                Error);
+}
+
+// ---- produce-side fold ------------------------------------------------------
+//
+// Parameterized over the on-disk format and the staging depth: depth 1
+// flushes every record into the fold buffer on its own, depth 64 in chunks.
+
+class LogFold
+    : public ::testing::TestWithParam<std::tuple<OnDiskFormat, std::size_t>> {
+ protected:
+  MultiLogConfig config() const {
+    MultiLogConfig cfg{.record_size = sizeof(TestRecord),
+                       .format = std::get<0>(GetParam()),
+                       .payload_varint = kPayloadVarint<std::uint32_t>,
+                       .staging_records = std::get<1>(GetParam())};
+    cfg.combine = record_combiner<std::uint32_t>(
+        [](std::uint32_t a, std::uint32_t b) { return a + b; });
+    return cfg;
+  }
+
+  /// Interval i's current log decoded to raw records, under either format.
+  static std::vector<TestRecord> load(MultiLogStore& store, IntervalId i) {
+    std::vector<std::byte> bytes;
+    store.load_interval(i, bytes);
+    return decode(store, bytes);
+  }
+
+  static std::vector<TestRecord> decode(const MultiLogStore& store,
+                                        const std::vector<std::byte>& bytes) {
+    if (store.format() == OnDiskFormat::kV1) {
+      return decode_records<std::uint32_t>(bytes);
+    }
+    std::vector<std::byte> raw;
+    decode_chunks_to_records(bytes, sizeof(TestRecord), store.payload_varint(),
+                             raw);
+    return decode_records<std::uint32_t>(raw);
+  }
+};
+
+using Sums = std::map<VertexId, std::uint64_t>;
+
+Sums sum_by_dst(const std::vector<TestRecord>& recs) {
+  Sums out;
+  for (const auto& r : recs) out[r.dst] += r.payload;
+  return out;
+}
+
+TEST_P(LogFold, DuplicateDestinationsCollapseToOneRecord) {
+  // 64-wide intervals: a full 512-record buffer folds to at most 64
+  // survivors, which always go back, so each interval reaches the swap
+  // with one record per destination and writes nothing to storage.
+  Env env;
+  const auto iv = graph::VertexIntervals::uniform(256, 64);
+  MultiLogStore store(env.storage, "t", iv, config());
+  auto staging = store.make_staging();
+  Sums expected;
+  SplitMix64 rng(5);
+  for (std::uint32_t k = 0; k < 20000; ++k) {
+    const auto dst = static_cast<VertexId>(rng.next_below(256));
+    append_record_staged<std::uint32_t>(store, staging, dst, k % 7 + 1);
+    expected[dst] += k % 7 + 1;
+  }
+  store.flush_staging(staging);
+  store.swap_generations();
+  Sums actual;
+  for (IntervalId i = 0; i < iv.count(); ++i) {
+    const auto recs = load(store, i);
+    EXPECT_EQ(recs.size(), iv.width(i)) << "interval " << i;
+    EXPECT_EQ(store.current_count(i), recs.size());
+    EXPECT_EQ(store.current_pages(i), 0u);
+    std::set<VertexId> seen;
+    for (const auto& r : recs) {
+      EXPECT_TRUE(seen.insert(r.dst).second) << "duplicate dst " << r.dst;
+    }
+    const Sums part = sum_by_dst(recs);
+    actual.insert(part.begin(), part.end());
+  }
+  EXPECT_EQ(actual, expected);
+  EXPECT_EQ(env.storage.stats().snapshot()[ssd::IoCategory::kMessageLog]
+                .bytes_written,
+            0u);
+  EXPECT_EQ(store.fold_stats().records_folded, 20000u - 256u);
+}
+
+TEST_P(LogFold, SpilledStreamStillDecodes) {
+  // 4096-wide intervals: a full buffer keeps most of its records, so the
+  // survivors spill through the top page to storage and are read back.
+  Env env;
+  const auto iv = graph::VertexIntervals::uniform(8192, 4096);
+  MultiLogStore store(env.storage, "t", iv, config());
+  auto staging = store.make_staging();
+  Sums expected;
+  SplitMix64 rng(6);
+  constexpr std::uint32_t kSends = 60000;
+  for (std::uint32_t k = 0; k < kSends; ++k) {
+    const auto dst = static_cast<VertexId>(rng.next_below(8192));
+    append_record_staged<std::uint32_t>(store, staging, dst, k);
+    expected[dst] += k;
+  }
+  store.flush_staging(staging);
+  store.swap_generations();
+  Sums actual;
+  std::uint64_t stored = 0;
+  for (IntervalId i = 0; i < iv.count(); ++i) {
+    EXPECT_GT(store.current_pages(i), 0u) << "interval " << i;
+    const auto recs = load(store, i);
+    EXPECT_EQ(recs.size(), store.current_count(i));
+    stored += recs.size();
+    for (const auto& r : recs) {
+      EXPECT_GE(r.dst, iv.begin(i));
+      EXPECT_LT(r.dst, iv.end(i));
+      actual[r.dst] += r.payload;
+    }
+  }
+  EXPECT_EQ(actual, expected);
+  EXPECT_LT(stored, kSends);
+  EXPECT_EQ(store.fold_stats().records_folded, kSends - stored);
+}
+
+TEST_P(LogFold, ProducedCountAndProduceSeqCountSends) {
+  Env env;
+  const auto iv = graph::VertexIntervals::uniform(20, 10);
+  MultiLogStore store(env.storage, "t", iv, config());
+  auto staging = store.make_staging();
+  for (std::uint32_t k = 0; k < 1500; ++k) {
+    append_record_staged<std::uint32_t>(store, staging, 10 + k % 3, 1);
+  }
+  store.flush_staging(staging);
+  // Three destinations: the buffer folded twice and holds the rest.
+  EXPECT_EQ(store.produced_count(1), 1500u);
+  EXPECT_EQ(store.produce_seq(1), 1500u);
+  EXPECT_EQ(env.storage.stats().snapshot()[ssd::IoCategory::kMessageLog]
+                .logical_bytes_written,
+            1500u * sizeof(TestRecord));
+  store.swap_generations();
+  EXPECT_EQ(store.current_sends(1), 1500u);
+  EXPECT_EQ(store.current_count(1), 3u);
+  EXPECT_EQ(store.produce_seq(1), 1500u);  // monotone across the swap
+  EXPECT_EQ(sum_by_dst(load(store, 1)),
+            (Sums{{10, 500}, {11, 500}, {12, 500}}));
+}
+
+TEST_P(LogFold, SwapGenerationsFlushesTheBuffer) {
+  Env env;
+  const auto iv = graph::VertexIntervals::uniform(20, 10);
+  MultiLogStore store(env.storage, "t", iv, config());
+  auto staging = store.make_staging();
+  for (std::uint32_t k = 0; k < 100; ++k) {  // well under one buffer
+    append_record_staged<std::uint32_t>(store, staging, 5 + k % 2, k);
+  }
+  store.flush_staging(staging);
+  EXPECT_EQ(store.fold_stats().records_folded, 0u);  // still buffered
+  store.swap_generations();
+  EXPECT_EQ(store.current_count(0), 2u);
+  EXPECT_EQ(store.current_sends(0), 100u);
+  EXPECT_EQ(store.fold_stats().records_folded, 98u);
+  EXPECT_EQ(sum_by_dst(load(store, 0)), (Sums{{5, 2450}, {6, 2500}}));
+  // The next generation starts with an empty buffer.
+  EXPECT_EQ(store.produced_count(0), 0u);
+  store.swap_generations();
+  EXPECT_EQ(store.current_count(0), 0u);
+  EXPECT_TRUE(load(store, 0).empty());
+}
+
+TEST_P(LogFold, DrainProduceIntervalFlushesTheBuffer) {
+  Env env;
+  const auto iv = graph::VertexIntervals::uniform(20, 10);
+  MultiLogStore store(env.storage, "t", iv, config());
+  auto staging = store.make_staging();
+  for (std::uint32_t k = 0; k < 1000; ++k) {
+    append_record_staged<std::uint32_t>(store, staging, 15 + k % 4, 2);
+  }
+  store.flush_staging(staging);
+  std::vector<std::byte> bytes;
+  EXPECT_EQ(store.drain_produce_interval(1, bytes), 1000u);  // sends
+  EXPECT_EQ(sum_by_dst(decode(store, bytes)),
+            (Sums{{15, 500}, {16, 500}, {17, 500}, {18, 500}}));
+  EXPECT_EQ(decode(store, bytes).size(), 4u);
+  EXPECT_EQ(store.produced_count(1), 0u);
+  bytes.clear();
+  EXPECT_EQ(store.drain_produce_interval(1, bytes), 0u);
+  EXPECT_TRUE(bytes.empty());
+  // Drained messages must not reappear after the swap.
+  store.swap_generations();
+  EXPECT_EQ(store.current_count(1), 0u);
+  EXPECT_EQ(store.current_sends(1), 0u);
+}
+
+TEST_P(LogFold, ResetAllDropsTheBuffer) {
+  Env env;
+  const auto iv = graph::VertexIntervals::uniform(20, 10);
+  MultiLogStore store(env.storage, "t", iv, config());
+  auto staging = store.make_staging();
+  for (std::uint32_t k = 0; k < 300; ++k) {
+    append_record_staged<std::uint32_t>(store, staging, k % 20, 1);
+  }
+  store.flush_staging(staging);
+  store.reset_all();
+  EXPECT_EQ(store.produced_count(0), 0u);
+  store.swap_generations();
+  for (IntervalId i = 0; i < iv.count(); ++i) {
+    EXPECT_EQ(store.current_count(i), 0u);
+    EXPECT_TRUE(load(store, i).empty());
+  }
+}
+
+TEST_P(LogFold, ConcurrentProducersMatchOracle) {
+  // The swap-out fold under contention: producers race on a few intervals
+  // about as wide as half a buffer, so folds both put survivors back and
+  // spill them, with background eviction on. Per-destination sums and send
+  // counts must match a serial replay.
+  Env env;
+  const auto iv = graph::VertexIntervals::uniform(1200, 300);
+  ssd::AsyncIo io(2);
+  MultiLogConfig cfg = config();
+  cfg.evict_batch_pages = 2;
+  cfg.async_io = &io;
+  MultiLogStore store(env.storage, "t", iv, cfg);
+  constexpr int kThreads = 4, kPerThread = 20000;
+  {
+    ThreadPool pool(kThreads);
+    std::vector<std::future<void>> futures;
+    for (int t = 0; t < kThreads; ++t) {
+      futures.push_back(pool.submit([&, t] {
+        auto staging = store.make_staging();
+        SplitMix64 rng(static_cast<std::uint64_t>(t + 1));
+        for (int k = 0; k < kPerThread; ++k) {
+          append_record_staged<std::uint32_t>(
+              store, staging, static_cast<VertexId>(rng.next_below(1200)),
+              static_cast<std::uint32_t>(k % 5));
+        }
+        store.flush_staging(staging);
+      }));
+    }
+    for (auto& f : futures) f.get();
+  }
+  store.swap_generations();
+  Sums expected;
+  for (int t = 0; t < kThreads; ++t) {
+    SplitMix64 rng(static_cast<std::uint64_t>(t + 1));
+    for (int k = 0; k < kPerThread; ++k) {
+      expected[static_cast<VertexId>(rng.next_below(1200))] += k % 5;
+    }
+  }
+  Sums actual;
+  std::uint64_t sends = 0;
+  for (IntervalId i = 0; i < iv.count(); ++i) {
+    sends += store.current_sends(i);
+    for (const auto& [dst, sum] : sum_by_dst(load(store, i))) {
+      actual[dst] += sum;
+    }
+  }
+  EXPECT_EQ(sends, static_cast<std::uint64_t>(kThreads) * kPerThread);
+  EXPECT_GT(store.fold_stats().records_folded, 0u);
+  EXPECT_EQ(actual, expected);
+}
+
+TEST_P(LogFold, ConcurrentDrainsMatchOracle) {
+  // Drains race producers whose full buffers are being folded outside the
+  // lock: every send must be delivered exactly once, by a drain or by the
+  // swap, and the drained plus swapped send counts must add up.
+  Env env;
+  const auto iv = graph::VertexIntervals::uniform(1200, 300);
+  MultiLogStore store(env.storage, "t", iv, config());
+  constexpr int kThreads = 3, kPerThread = 20000;
+  std::atomic<bool> stop{false};
+  std::vector<std::byte> drained;
+  std::uint64_t drained_sends = 0;
+  std::thread drainer([&] {
+    SplitMix64 rng(17);
+    while (!stop.load(std::memory_order_relaxed)) {
+      drained_sends += store.drain_produce_interval(
+          static_cast<IntervalId>(rng.next_below(iv.count())), drained);
+    }
+  });
+  {
+    ThreadPool pool(kThreads);
+    std::vector<std::future<void>> futures;
+    for (int t = 0; t < kThreads; ++t) {
+      futures.push_back(pool.submit([&, t] {
+        auto staging = store.make_staging();
+        SplitMix64 rng(static_cast<std::uint64_t>(t + 100));
+        for (int k = 0; k < kPerThread; ++k) {
+          append_record_staged<std::uint32_t>(
+              store, staging, static_cast<VertexId>(rng.next_below(1200)), 1);
+        }
+        store.flush_staging(staging);
+      }));
+    }
+    for (auto& f : futures) f.get();
+  }
+  stop.store(true, std::memory_order_relaxed);
+  drainer.join();
+  store.swap_generations();
+  Sums actual = sum_by_dst(decode(store, drained));
+  std::uint64_t sends = drained_sends;
+  for (IntervalId i = 0; i < iv.count(); ++i) {
+    sends += store.current_sends(i);
+    for (const auto& [dst, sum] : sum_by_dst(load(store, i))) {
+      actual[dst] += sum;
+    }
+  }
+  Sums expected;
+  for (int t = 0; t < kThreads; ++t) {
+    SplitMix64 rng(static_cast<std::uint64_t>(t + 100));
+    for (int k = 0; k < kPerThread; ++k) {
+      expected[static_cast<VertexId>(rng.next_below(1200))] += 1;
+    }
+  }
+  EXPECT_EQ(sends, static_cast<std::uint64_t>(kThreads) * kPerThread);
+  EXPECT_EQ(actual, expected);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    FormatsAndDepths, LogFold,
+    ::testing::Combine(::testing::Values(OnDiskFormat::kV1, OnDiskFormat::kV2),
+                       ::testing::Values(std::size_t{1}, std::size_t{64})),
+    [](const auto& info) {
+      return std::string(std::get<0>(info.param) == OnDiskFormat::kV1
+                             ? "v1"
+                             : "v2") +
+             "_staging" + std::to_string(std::get<1>(info.param));
+    });
+
+TEST(LogFold, WideIntervalsBypassTheFold) {
+  // An interval whose direct-addressed scratch would exceed the cap keeps
+  // every record; the store reports it.
+  Env env;
+  const VertexId wide =
+      static_cast<VertexId>(MultiLogStore::kFoldScratchMaxBytes /
+                            sizeof(TestRecord)) +
+      1;
+  const auto iv = graph::VertexIntervals::uniform(wide + 64, wide);
+  MultiLogConfig cfg{.record_size = sizeof(TestRecord)};
+  cfg.combine = record_combiner<std::uint32_t>(
+      [](std::uint32_t a, std::uint32_t b) { return a + b; });
+  MultiLogStore store(env.storage, "t", iv, cfg);
+  ASSERT_EQ(iv.count(), 2u);
+  EXPECT_EQ(store.fold_wide_intervals(), 1u);
+  for (std::uint32_t k = 0; k < 1000; ++k) {
+    append_record<std::uint32_t>(store, 7, 1);         // wide interval 0
+    append_record<std::uint32_t>(store, wide + 3, 1);  // narrow interval 1
+  }
+  store.swap_generations();
+  EXPECT_EQ(store.current_count(0), 1000u);
+  EXPECT_EQ(store.current_count(1), 1u);
+  EXPECT_EQ(store.current_sends(1), 1000u);
+  EXPECT_EQ(store.fold_stats().records_folded, 999u);
+}
+
+TEST(LogFold, RuntimeRecordSizeFoldsAgainstOracle) {
+  // A 12-byte record takes the fold's runtime-size path. Interval 0 is
+  // narrow (survivors go back into the buffer), interval 1 wide (survivors
+  // spill through the top page); both formats, summing and taking the min.
+  struct Pair {
+    std::uint32_t sum;
+    std::uint32_t min;
+  };
+  using WideRecord = Record<Pair>;
+  static_assert(sizeof(WideRecord) == 12);
+  for (const OnDiskFormat format : {OnDiskFormat::kV1, OnDiskFormat::kV2}) {
+    SCOPED_TRACE(format == OnDiskFormat::kV1 ? "v1" : "v2");
+    Env env;
+    const auto iv = graph::VertexIntervals::from_boundaries({0, 64, 64 + 4096});
+    MultiLogConfig cfg{.record_size = sizeof(WideRecord),
+                       .format = format,
+                       .payload_varint = kPayloadVarint<Pair>,
+                       .staging_records = 16};
+    cfg.combine = record_combiner<Pair>([](Pair a, Pair b) {
+      return Pair{a.sum + b.sum, std::min(a.min, b.min)};
+    });
+    MultiLogStore store(env.storage, "t", iv, cfg);
+    ASSERT_EQ(iv.count(), 2u);
+    auto staging = store.make_staging();
+    std::map<VertexId, std::pair<std::uint64_t, std::uint32_t>> expected;
+    SplitMix64 rng(11);
+    constexpr std::uint32_t kSends = 40000;
+    for (std::uint32_t k = 0; k < kSends; ++k) {
+      const auto dst = static_cast<VertexId>(
+          k % 2 == 0 ? rng.next_below(64) : 64 + rng.next_below(4096));
+      const Pair m{k % 5 + 1, static_cast<std::uint32_t>(rng.next_below(1000))};
+      append_record_staged<Pair>(store, staging, dst, m);
+      auto [it, fresh] = expected.try_emplace(dst, m.sum, m.min);
+      if (!fresh) {
+        it->second.first += m.sum;
+        it->second.second = std::min(it->second.second, m.min);
+      }
+    }
+    store.flush_staging(staging);
+    store.swap_generations();
+    EXPECT_EQ(store.current_count(0), 64u);
+    EXPECT_GT(store.current_pages(1), 0u);
+    std::map<VertexId, std::pair<std::uint64_t, std::uint32_t>> actual;
+    std::uint64_t stored = 0;
+    for (IntervalId i = 0; i < iv.count(); ++i) {
+      EXPECT_EQ(store.current_sends(i), kSends / 2);
+      std::vector<std::byte> bytes;
+      store.load_interval(i, bytes);
+      std::vector<std::byte> raw;
+      if (format == OnDiskFormat::kV1) {
+        raw = bytes;
+      } else {
+        decode_chunks_to_records(bytes, sizeof(WideRecord),
+                                 store.payload_varint(), raw);
+      }
+      const auto recs = decode_records<Pair>(raw);
+      EXPECT_EQ(recs.size(), store.current_count(i));
+      stored += recs.size();
+      for (const auto& r : recs) {
+        auto [it, fresh] =
+            actual.try_emplace(r.dst, r.payload.sum, r.payload.min);
+        if (!fresh) {
+          it->second.first += r.payload.sum;
+          it->second.second = std::min(it->second.second, r.payload.min);
+        }
+      }
+    }
+    EXPECT_EQ(actual, expected);
+    EXPECT_LT(stored, kSends);
+    EXPECT_EQ(store.fold_stats().records_folded, kSends - stored);
+  }
+}
+
+TEST(LogFold, NoCombineKeepsEveryRecord) {
+  Env env;
+  const auto iv = graph::VertexIntervals::uniform(20, 10);
+  MultiLogStore store(env.storage, "t", iv, {.record_size = 8});
+  for (std::uint32_t k = 0; k < 1000; ++k) {
+    append_record<std::uint32_t>(store, 3, k);
+  }
+  store.swap_generations();
+  EXPECT_EQ(store.current_count(0), 1000u);
+  EXPECT_EQ(store.current_sends(0), 1000u);
+  EXPECT_EQ(store.fold_wide_intervals(), 0u);
+  EXPECT_EQ(store.fold_stats().records_folded, 0u);
 }
 
 // ---- sort & group ----------------------------------------------------------

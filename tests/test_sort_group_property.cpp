@@ -315,5 +315,27 @@ TEST(SortGroupEngineStats, SortGroupTimeIsReported) {
   }
 }
 
+TEST(SortGroupEngineStats, OnlyChainsWithLogInputCountAGroupPath) {
+  // A BSP wave releases every interval, so superstep 0 — whose logs are
+  // all empty (BFS starts from a sticky source) — runs chains but no
+  // sort-and-group path; later supersteps count one path per fused group
+  // that had input.
+  auto opts = testing_options();
+  opts.memory_budget_bytes = 256_KiB;  // several intervals
+  const auto [values, stats] =
+      run_engine(property_graph(11), apps::Bfs{.source = 0}, opts);
+  (void)values;
+  ASSERT_GE(stats.supersteps.size(), 3u);
+  const auto& first = stats.supersteps.front();
+  EXPECT_EQ(first.messages_consumed, 0u);
+  EXPECT_EQ(first.groups_scatter + first.groups_comparison, 0u);
+  for (const auto& s : stats.supersteps) {
+    if (s.messages_consumed > 0) {
+      EXPECT_GT(s.groups_scatter + s.groups_comparison, 0u)
+          << "superstep " << s.superstep;
+    }
+  }
+}
+
 }  // namespace
 }  // namespace mlvc
