@@ -1,19 +1,13 @@
-// Multi-device striping sweep: devices {1, 2, 4} x combine placement
-// {host, device}, measuring (a) modeled aggregate bandwidth of the
-// log-load pattern — large reads over a striped message-log blob, the hot
-// path striping exists for — and (b) bytes crossed over the host bus on
-// real PageRank/WCC runs (the near-storage combine folds log records
-// inside each device before they cross). Emits BENCH_stripe.json with one
-// run entry per metric, the same {metric, v1, v2, ratio, enforced} shape
-// bench_compress uses, consumed by check_bench_regression.py
-// --suite stripe.
+// Multi-device striping sweep: devices {1, 2, 4}, measuring the modeled
+// aggregate bandwidth of the log-load pattern — large reads over a striped
+// message-log blob, the hot path striping exists for — and whole-engine
+// PageRank time. Emits BENCH_stripe.json with one run entry per metric,
+// the same {metric, v1, v2, ratio, enforced} shape bench_compress uses,
+// consumed by check_bench_regression.py --suite stripe.
 //
-// Gates (exit 1 on failure):
-//   - modeled aggregate log-load bandwidth at 4 devices must be >=
-//     MLVC_BENCH_STRIPE_MIN_SPEEDUP x the single-device bandwidth
-//     (default 1.6): striping must actually buy parallelism.
-//   - device-side combine must cut bytes-crossed-bus vs host placement on
-//     both PageRank and WCC (ratio > 1.0).
+// Gate (exit 1 on failure): modeled aggregate log-load bandwidth at 4
+// devices must be >= MLVC_BENCH_STRIPE_MIN_SPEEDUP x the single-device
+// bandwidth (default 1.6): striping must actually buy parallelism.
 // Whole-engine modeled time is reported but NOT gated: PageRank also
 // issues many sub-stripe-unit scattered reads, where each striped call
 // still pays a full-cost first page per touched device, so the engine
@@ -33,7 +27,6 @@
 #include <vector>
 
 #include "apps/pagerank.hpp"
-#include "apps/wcc.hpp"
 #include "core/engine.hpp"
 #include "graph/generators.hpp"
 #include "ssd/storage.hpp"
@@ -43,7 +36,6 @@ namespace {
 
 struct RunResult {
   double modeled_seconds = 0;
-  double bus_bytes = 0;
   double wall_seconds = 0;
 };
 
@@ -54,7 +46,7 @@ double env_double(const char* name, double def) {
 
 template <typename App>
 RunResult run_one(const graph::CsrGraph& csr, unsigned devices,
-                  CombinePlacement placement, unsigned max_supersteps) {
+                  unsigned max_supersteps) {
   ssd::TempDir dir("mlvc_bench_stripe");
   ssd::DeviceConfig device;
   device.page_size = 4_KiB;
@@ -64,7 +56,6 @@ RunResult run_one(const graph::CsrGraph& csr, unsigned devices,
   core::EngineOptions opts;
   opts.memory_budget_bytes = 8_MiB;
   opts.max_supersteps = max_supersteps;
-  opts.combine_placement = placement;
 
   graph::StoredCsrGraph stored(storage, "g", csr,
                                core::partition_for_app<App>(csr, opts));
@@ -73,7 +64,6 @@ RunResult run_one(const graph::CsrGraph& csr, unsigned devices,
 
   RunResult r;
   r.modeled_seconds = stats.modeled_total_seconds();
-  r.bus_bytes = static_cast<double>(stats.bytes_crossed_bus());
   r.wall_seconds = stats.total_wall_seconds();
   return r;
 }
@@ -129,23 +119,12 @@ int run(const std::string& out_path) {
   const double ll4 = modeled_log_load_seconds(4);
 
   // Whole-engine modeled time (reported, not gated — see header).
-  const auto pr1 =
-      run_one<apps::PageRank>(csr, 1, CombinePlacement::kHost, 10);
-  const auto pr2 =
-      run_one<apps::PageRank>(csr, 2, CombinePlacement::kHost, 10);
-  const auto pr4 =
-      run_one<apps::PageRank>(csr, 4, CombinePlacement::kHost, 10);
+  const auto pr1 = run_one<apps::PageRank>(csr, 1, 10);
+  const auto pr2 = run_one<apps::PageRank>(csr, 2, 10);
+  const auto pr4 = run_one<apps::PageRank>(csr, 4, 10);
 
-  // Combine placement at 4 devices: host vs modeled in-device reduction.
-  const auto pr4_dev =
-      run_one<apps::PageRank>(csr, 4, CombinePlacement::kDevice, 10);
-  const auto wcc4_host = run_one<apps::Wcc>(csr, 4, CombinePlacement::kHost, 30);
-  const auto wcc4_dev =
-      run_one<apps::Wcc>(csr, 4, CombinePlacement::kDevice, 30);
-
-  // metric, v1 (baseline config), v2 (striped / device config), ratio
-  // v1/v2 — higher is better: modeled-seconds rows read as bandwidth
-  // speedup, bus-bytes rows as bus-traffic reduction.
+  // metric, v1 (single-device config), v2 (striped config), ratio v1/v2 —
+  // higher is better: modeled-seconds rows read as bandwidth speedup.
   struct Row {
     const char* metric;
     double v1, v2;
@@ -154,10 +133,6 @@ int run(const std::string& out_path) {
   const std::vector<Row> rows = {
       {"log_load_modeled_seconds_1v4_devices", ll1, ll4, true},
       {"log_load_modeled_seconds_1v2_devices", ll1, ll2, false},
-      {"pagerank_bus_bytes_host_vs_device", pr4.bus_bytes, pr4_dev.bus_bytes,
-       true},
-      {"wcc_bus_bytes_host_vs_device", wcc4_host.bus_bytes, wcc4_dev.bus_bytes,
-       true},
       {"pagerank_modeled_seconds_1v4_devices", pr1.modeled_seconds,
        pr4.modeled_seconds, false},
       {"pagerank_modeled_seconds_1v2_devices", pr1.modeled_seconds,
@@ -190,16 +165,6 @@ int run(const std::string& out_path) {
   if (speedup < min_speedup) {
     std::cerr << "FAIL: 4-device modeled log-load bandwidth speedup "
               << speedup << "x below the " << min_speedup << "x floor\n";
-    rc = 1;
-  }
-  if (pr4_dev.bus_bytes >= pr4.bus_bytes) {
-    std::cerr << "FAIL: device-side combine did not cut PageRank bus bytes ("
-              << pr4_dev.bus_bytes << " vs " << pr4.bus_bytes << ")\n";
-    rc = 1;
-  }
-  if (wcc4_dev.bus_bytes >= wcc4_host.bus_bytes) {
-    std::cerr << "FAIL: device-side combine did not cut WCC bus bytes ("
-              << wcc4_dev.bus_bytes << " vs " << wcc4_host.bus_bytes << ")\n";
     rc = 1;
   }
   return rc;

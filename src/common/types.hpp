@@ -151,43 +151,6 @@ inline bool parse_schedule_policy(const char* s, SchedulePolicy* out) {
   return false;
 }
 
-/// Where the §V.D combine operator runs for kHasCombine apps. kHost is the
-/// paper's layout: raw log records cross the bus and the host's counting
-/// scatter reduces them. kDevice models computational storage: each striped
-/// device reduces the log records resident on it (per-device reduction
-/// tables) before results cross the bus, so bus traffic shrinks to one
-/// record per live destination per device. Values are identical up to
-/// combine fold order (exact for idempotent combines like min; floating
-/// sums differ within rounding).
-enum class CombinePlacement : std::uint8_t {
-  kHost,
-  kDevice,
-};
-
-inline constexpr const char* to_string(CombinePlacement p) {
-  switch (p) {
-    case CombinePlacement::kHost: return "host";
-    case CombinePlacement::kDevice: return "device";
-  }
-  return "?";
-}
-
-/// Parse "host"/"device". Returns false (leaving *out untouched) on
-/// anything else so callers can decide between ignoring and rejecting.
-inline bool parse_combine_placement(const char* s, CombinePlacement* out) {
-  if (s == nullptr) return false;
-  const std::string_view v(s);
-  if (v == "host") {
-    *out = CombinePlacement::kHost;
-    return true;
-  }
-  if (v == "device") {
-    *out = CombinePlacement::kDevice;
-    return true;
-  }
-  return false;
-}
-
 /// Per-interval message movement direction. kPush is the paper's multi-log
 /// scatter: every active edge writes a log record that is later re-read and
 /// sort-and-grouped. kPull inverts dense intervals: the engine streams the

@@ -61,7 +61,6 @@
 #include "core/vertex_value_store.hpp"
 #include "graph/stored_csr.hpp"
 #include "multilog/active_set.hpp"
-#include "multilog/device_combine.hpp"
 #include "multilog/edge_log.hpp"
 #include "multilog/multilog_store.hpp"
 #include "multilog/page_util.hpp"
@@ -681,9 +680,6 @@ class MultiLogVCEngine {
     stats_.app = app_.name();
     stats_.schedule_policy = to_string(options_.schedule_policy);
     stats_.num_devices = graph_.storage().num_devices();
-    stats_.combine_placement =
-        to_string(device_combine_active() ? CombinePlacement::kDevice
-                                          : CombinePlacement::kHost);
     stats_.fold_wide_intervals = store_.fold_wide_intervals();
     setup_direction();
   }
@@ -811,15 +807,6 @@ class MultiLogVCEngine {
     }
   }
 
-  /// True when the §V.D combine actually runs device-side: requested, the
-  /// app has a combine, combining is on, and the store is striped (one
-  /// device has nothing to reduce early — the host path IS its model).
-  bool device_combine_active() const {
-    return App::kHasCombine && options_.enable_combine &&
-           options_.combine_placement == CombinePlacement::kDevice &&
-           graph_.storage().num_devices() > 1;
-  }
-
   struct ActiveVertex {
     VertexId v;
     std::uint32_t rec_begin = 0;  // slice of the group's sorted records
@@ -941,26 +928,10 @@ class MultiLogVCEngine {
         const auto combine = [this](const Message& a, const Message& b) {
           return app_.combine(a, b);
         };
-        ssd::IoStats& io_stats = graph_.storage().stats();
-        if (device_combine_active()) {
-          // Modeled near-storage combine: each striped device reduces its
-          // resident records before they cross the bus; only the reduced
-          // streams (counted as bus traffic) reach the host merge.
-          multilog::DeviceCombineStats dc;
-          grouped = multilog::device_side_combine<Message>(
-              bytes, v2, vb, ve, options_.sort_group_path,
-              graph_.storage().num_devices(), graph_.storage().stripe_unit(),
-              combine, &dc);
-          io_stats.record_bus_bytes(dc.bus_bytes);
-          io_stats.record_device_combine(dc.records_in, dc.records_out);
-        } else {
-          grouped = v2 ? multilog::sort_and_group_v2<Message>(
-                             bytes, vb, ve, options_.sort_group_path, combine)
-                       : multilog::sort_and_group<Message>(
-                             bytes, vb, ve, options_.sort_group_path, combine);
-          // Host combine: the whole raw log crossed the bus.
-          io_stats.record_bus_bytes(bytes.size());
-        }
+        grouped = v2 ? multilog::sort_and_group_v2<Message>(
+                           bytes, vb, ve, options_.sort_group_path, combine)
+                     : multilog::sort_and_group<Message>(
+                           bytes, vb, ve, options_.sort_group_path, combine);
         combined = true;
       }
     }
@@ -969,7 +940,6 @@ class MultiLogVCEngine {
                          bytes, vb, ve, options_.sort_group_path)
                    : multilog::sort_and_group<Message>(
                          bytes, vb, ve, options_.sort_group_path);
-      graph_.storage().stats().record_bus_bytes(bytes.size());
     }
     g.records = std::move(grouped.records);
     g.offsets = std::move(grouped.offsets);

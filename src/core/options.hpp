@@ -54,15 +54,6 @@ struct EngineOptions {
   /// preserved even when the app provides a combine operator.
   bool enable_combine = true;
 
-  /// Where the combine operator runs on a striped store (common/types.hpp).
-  /// kDevice models computational storage: each device reduces its resident
-  /// log records before they cross the bus (per-device reduction tables),
-  /// shrinking bytes-crossed-bus at the cost of a small host merge. Only
-  /// meaningful with enable_combine, a kHasCombine app, and > 1 device —
-  /// otherwise the host path runs regardless. MLVC_COMBINE_PLACEMENT
-  /// overrides this.
-  CombinePlacement combine_placement = CombinePlacement::kHost;
-
   /// Message movement direction (common/types.hpp). kPush keeps the paper's
   /// multi-log scatter untouched (the default — zero behavior change).
   /// kPull forces every eligible interval through the transpose-CSR gather
@@ -235,11 +226,6 @@ inline EngineOptions apply_env_overrides(EngineOptions options) {
   if (const char* env = std::getenv("MLVC_URING_DEPTH")) {
     const unsigned d = static_cast<unsigned>(std::strtoul(env, nullptr, 10));
     if (d > 0) options.io_queue_depth = d;
-  }
-  if (const char* env = std::getenv("MLVC_COMBINE_PLACEMENT")) {
-    // Same convention as MLVC_FORMAT: an unparsable value leaves the
-    // configured placement alone rather than aborting every entry point.
-    parse_combine_placement(env, &options.combine_placement);
   }
   return options;
 }

@@ -129,9 +129,7 @@ struct RunStats {
   /// Superstep-internal execution order the run used ("bsp" / "fifo" /
   /// "hub-degree" / "log-bytes") — the resolved value after MLVC_SCHEDULE.
   std::string schedule_policy;
-  /// Where the §V.D combine actually ran ("host" / "device") — "device"
-  /// only when the run both requested it and executed on a striped store
-  /// with a kHasCombine app. Engines without a combine report "host".
+  /// Always "host"; kept because bench/e2e's job config still reads it.
   std::string combine_placement = "host";
   /// Intervals too wide for the produce-side fold's direct-addressed
   /// scratch (MultiLogStore::kFoldScratchMaxBytes): their sends are logged
@@ -295,21 +293,6 @@ struct RunStats {
   std::uint64_t io_retries() const {
     std::uint64_t t = 0;
     for (const auto& s : supersteps) t += s.io.io_retry_count;
-    return t;
-  }
-  std::uint64_t bytes_crossed_bus() const {
-    std::uint64_t t = 0;
-    for (const auto& s : supersteps) t += s.io.bus_bytes_crossed;
-    return t;
-  }
-  std::uint64_t device_combine_records_in() const {
-    std::uint64_t t = 0;
-    for (const auto& s : supersteps) t += s.io.device_combine_records_in;
-    return t;
-  }
-  std::uint64_t device_combine_records_out() const {
-    std::uint64_t t = 0;
-    for (const auto& s : supersteps) t += s.io.device_combine_records_out;
     return t;
   }
   std::uint64_t io_giveups() const {

@@ -40,9 +40,6 @@ void write_io(std::ostream& out, const ssd::IoStatsSnapshot& io) {
       << ",\"submit_batches\":" << io.submit_batches
       << ",\"sqe_coalesced_ops\":" << io.sqe_coalesced_ops
       << ",\"max_inflight_depth\":" << io.max_inflight_depth
-      << ",\"bus_bytes_crossed\":" << io.bus_bytes_crossed
-      << ",\"device_combine_records_in\":" << io.device_combine_records_in
-      << ",\"device_combine_records_out\":" << io.device_combine_records_out
       << ",\"by_category\":{";
   bool first = true;
   for (unsigned c = 0; c < ssd::kNumIoCategories; ++c) {
@@ -125,11 +122,6 @@ void write_json(const core::RunStats& stats, std::ostream& out) {
       << ",\"sqe_coalesced_ops\":" << stats.sqe_coalesced_ops()
       << ",\"max_inflight_depth\":" << stats.max_inflight_depth()
       << ",\"torn_bytes_dropped\":" << stats.torn_bytes_dropped()
-      << ",\"bytes_crossed_bus\":" << stats.bytes_crossed_bus()
-      << ",\"device_combine_records_in\":"
-      << stats.device_combine_records_in()
-      << ",\"device_combine_records_out\":"
-      << stats.device_combine_records_out()
       << ",\"intervals_pulled\":" << stats.intervals_pulled()
       << ",\"log_bytes_avoided\":" << stats.log_bytes_avoided()
       << ",\"effective_rounds\":" << stats.effective_rounds()

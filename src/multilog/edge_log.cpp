@@ -51,11 +51,15 @@ bool EdgeLog::log_edges(VertexId v, std::span<const VertexId> adjacency,
   const std::uint64_t offset = gen.flushed_bytes + gen.top.size();
   const std::size_t old_size = gen.top.size();
   gen.top.resize(old_size + entry_bytes(static_cast<VertexId>(adjacency.size())));
-  std::byte* out = gen.top.data() + old_size;
-  std::memcpy(out, adjacency.data(), adjacency.size_bytes());
-  if (config_.with_weights) {
-    std::memcpy(out + adjacency.size_bytes(), weights.data(),
-                weights.size_bytes());
+  // An empty adjacency on an empty tail has null data pointers on both
+  // sides, which memcpy does not allow even for zero bytes.
+  if (!adjacency.empty()) {
+    std::byte* out = gen.top.data() + old_size;
+    std::memcpy(out, adjacency.data(), adjacency.size_bytes());
+    if (config_.with_weights) {
+      std::memcpy(out + adjacency.size_bytes(), weights.data(),
+                  weights.size_bytes());
+    }
   }
 
   // Page-granular flush of every full page in the tail.

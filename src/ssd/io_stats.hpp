@@ -91,16 +91,6 @@ struct IoStatsSnapshot {
   /// High-water mark of SQEs in flight on any one ring (a gauge, not a
   /// counter — snapshot diffs carry the current mark through unchanged).
   std::uint64_t max_inflight_depth = 0;
-  /// Modeled host↔device bus traffic for the message-log load path: raw log
-  /// bytes under host combine placement, the per-device reduced output
-  /// under the computational-storage mode — the combine-placement ablation
-  /// metric (DESIGN.md §4d).
-  std::uint64_t bus_bytes_crossed = 0;
-  /// Near-storage combine visibility: records entering the per-device
-  /// reduction tables and records surviving them (what crossed the bus).
-  /// Both 0 under host placement.
-  std::uint64_t device_combine_records_in = 0;
-  std::uint64_t device_combine_records_out = 0;
 
   const Category& operator[](IoCategory c) const {
     return categories[static_cast<unsigned>(c)];
@@ -176,11 +166,6 @@ struct IoStatsSnapshot {
     // Gauge: the high-water mark as of this snapshot, not a differenceable
     // quantity.
     out.max_inflight_depth = max_inflight_depth;
-    out.bus_bytes_crossed = bus_bytes_crossed - rhs.bus_bytes_crossed;
-    out.device_combine_records_in =
-        device_combine_records_in - rhs.device_combine_records_in;
-    out.device_combine_records_out =
-        device_combine_records_out - rhs.device_combine_records_out;
     return out;
   }
 };
@@ -287,26 +272,6 @@ class IoStats {
     record_max(max_inflight_depth_, depth);
     if (IoStats* s = mirror()) record_max(s->max_inflight_depth_, depth);
   }
-  void record_bus_bytes(std::uint64_t bytes) {
-    bus_bytes_crossed_.fetch_add(bytes, std::memory_order_relaxed);
-    if (IoStats* s = mirror()) {
-      s->bus_bytes_crossed_.fetch_add(bytes, std::memory_order_relaxed);
-    }
-  }
-  void record_device_combine(std::uint64_t records_in,
-                             std::uint64_t records_out) {
-    device_combine_records_in_.fetch_add(records_in,
-                                         std::memory_order_relaxed);
-    device_combine_records_out_.fetch_add(records_out,
-                                          std::memory_order_relaxed);
-    if (IoStats* s = mirror()) {
-      s->device_combine_records_in_.fetch_add(records_in,
-                                              std::memory_order_relaxed);
-      s->device_combine_records_out_.fetch_add(records_out,
-                                               std::memory_order_relaxed);
-    }
-  }
-
   IoStatsSnapshot snapshot() const {
     IoStatsSnapshot out;
     for (unsigned i = 0; i < kNumIoCategories; ++i) {
@@ -337,12 +302,6 @@ class IoStats {
         sqe_coalesced_ops_.load(std::memory_order_relaxed);
     out.max_inflight_depth =
         max_inflight_depth_.load(std::memory_order_relaxed);
-    out.bus_bytes_crossed =
-        bus_bytes_crossed_.load(std::memory_order_relaxed);
-    out.device_combine_records_in =
-        device_combine_records_in_.load(std::memory_order_relaxed);
-    out.device_combine_records_out =
-        device_combine_records_out_.load(std::memory_order_relaxed);
     return out;
   }
 
@@ -365,9 +324,6 @@ class IoStats {
     submit_batches_.store(0, std::memory_order_relaxed);
     sqe_coalesced_ops_.store(0, std::memory_order_relaxed);
     max_inflight_depth_.store(0, std::memory_order_relaxed);
-    bus_bytes_crossed_.store(0, std::memory_order_relaxed);
-    device_combine_records_in_.store(0, std::memory_order_relaxed);
-    device_combine_records_out_.store(0, std::memory_order_relaxed);
   }
 
  private:
@@ -430,9 +386,6 @@ class IoStats {
   std::atomic<std::uint64_t> submit_batches_{0};
   std::atomic<std::uint64_t> sqe_coalesced_ops_{0};
   std::atomic<std::uint64_t> max_inflight_depth_{0};
-  std::atomic<std::uint64_t> bus_bytes_crossed_{0};
-  std::atomic<std::uint64_t> device_combine_records_in_{0};
-  std::atomic<std::uint64_t> device_combine_records_out_{0};
 };
 
 }  // namespace mlvc::ssd

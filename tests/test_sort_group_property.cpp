@@ -35,7 +35,7 @@ using TestRecord = multilog::Record<std::uint32_t>;
 
 std::vector<std::byte> encode(const std::vector<TestRecord>& records) {
   std::vector<std::byte> bytes(records.size() * sizeof(TestRecord));
-  std::memcpy(bytes.data(), records.data(), bytes.size());
+  if (!bytes.empty()) std::memcpy(bytes.data(), records.data(), bytes.size());
   return bytes;
 }
 

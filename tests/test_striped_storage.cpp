@@ -3,7 +3,7 @@
 // compatibility, per-device ring isolation under concurrent batches (the
 // TSan job builds this binary), typed give-up errors naming the failing
 // device, the DeviceModel per-device channel fix, and the engine
-// equivalence matrix across devices × combine placement × pipeline.
+// equivalence matrix across devices × pipeline.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -19,7 +19,6 @@
 #include "apps/wcc.hpp"
 #include "core/engine.hpp"
 #include "graph/generators.hpp"
-#include "multilog/device_combine.hpp"
 #include "ssd/fault_injector.hpp"
 #include "ssd/storage.hpp"
 #include "ssd/uring_io.hpp"
@@ -379,41 +378,6 @@ TEST(DeviceModelStriped, StripedReadsModelFasterThanSingleDevice) {
   EXPECT_LT(t4, t1 / 2.0);
 }
 
-// ---- device-side combine unit ----------------------------------------------
-
-TEST(DeviceCombine, MatchesHostCombineForMinOperator) {
-  using Msg = std::uint32_t;
-  std::vector<multilog::Record<Msg>> records;
-  std::mt19937 rng(13);
-  for (int i = 0; i < 20000; ++i) {
-    records.push_back({static_cast<VertexId>(rng() % 512),
-                       static_cast<Msg>(rng())});
-  }
-  const auto* raw = reinterpret_cast<const std::byte*>(records.data());
-  const std::span<const std::byte> bytes(raw,
-                                         records.size() * sizeof(records[0]));
-  const auto combine = [](Msg a, Msg b) { return std::min(a, b); };
-  const auto host = multilog::sort_and_group<Msg>(
-      bytes, 0, 512, SortGroupPath::kAuto, combine);
-  multilog::DeviceCombineStats stats;
-  const auto device = multilog::device_side_combine<Msg>(
-      bytes, /*v2_format=*/false, 0, 512, SortGroupPath::kAuto,
-      /*num_devices=*/4, /*stripe_unit=*/4096, combine, &stats);
-
-  ASSERT_EQ(device.records.size(), host.records.size());
-  for (std::size_t i = 0; i < host.records.size(); ++i) {
-    EXPECT_EQ(device.records[i].dst, host.records[i].dst);
-    EXPECT_EQ(device.records[i].payload, host.records[i].payload);
-  }
-  EXPECT_EQ(device.offsets, host.offsets);
-  EXPECT_EQ(device.decoded, host.decoded);
-  EXPECT_EQ(stats.records_in, records.size());
-  EXPECT_EQ(stats.raw_bytes, bytes.size());
-  // The reduction must actually shrink bus traffic on this dense log.
-  EXPECT_LT(stats.bus_bytes, stats.raw_bytes);
-  EXPECT_LT(stats.records_out, stats.records_in);
-}
-
 // ---- engine equivalence matrix ---------------------------------------------
 
 graph::CsrGraph stripe_graph() {
@@ -427,14 +391,12 @@ graph::CsrGraph stripe_graph() {
 template <core::VertexApp App>
 std::vector<typename App::Value> run_striped(const graph::CsrGraph& csr,
                                              App app, unsigned devices,
-                                             CombinePlacement placement,
                                              bool pipeline) {
   ssd::TempDir dir;
   ssd::Storage storage(dir.path(), striped_config(devices, 16_KiB));
   auto opts = testing_options();
   opts.max_supersteps = 60;
   opts.enable_pipeline = pipeline;
-  opts.combine_placement = placement;
   auto intervals = core::partition_for_app<App>(csr, opts);
   graph::StoredCsrGraph stored(storage, "g", csr, intervals);
   core::MultiLogVCEngine<App> engine(stored, app, opts);
@@ -446,25 +408,18 @@ TEST(StripedEngineMatrix, BfsAndWccAreExactAcrossTheMatrix) {
   ScopedStripeEnv env;
   const auto csr = stripe_graph();
   const auto bfs_ref =
-      run_striped(csr, apps::Bfs{.source = 3}, 1, CombinePlacement::kHost,
-                  /*pipeline=*/true);
-  const auto wcc_ref = run_striped(csr, apps::Wcc{}, 1,
-                                   CombinePlacement::kHost, /*pipeline=*/true);
+      run_striped(csr, apps::Bfs{.source = 3}, 1, /*pipeline=*/true);
+  const auto wcc_ref = run_striped(csr, apps::Wcc{}, 1, /*pipeline=*/true);
   for (unsigned devices : {2u, 4u}) {
-    for (const auto placement :
-         {CombinePlacement::kHost, CombinePlacement::kDevice}) {
-      for (const bool pipeline : {false, true}) {
-        SCOPED_TRACE(::testing::Message()
-                     << "devices=" << devices << " placement="
-                     << to_string(placement) << " pipeline=" << pipeline);
-        // min-combines are idempotent: device-side fold order cannot
-        // change the result, so the matrix must be byte-exact.
-        EXPECT_EQ(run_striped(csr, apps::Bfs{.source = 3}, devices,
-                              placement, pipeline),
-                  bfs_ref);
-        EXPECT_EQ(run_striped(csr, apps::Wcc{}, devices, placement, pipeline),
-                  wcc_ref);
-      }
+    for (const bool pipeline : {false, true}) {
+      SCOPED_TRACE(::testing::Message()
+                   << "devices=" << devices << " pipeline=" << pipeline);
+      // min-combines are idempotent: fold order cannot change the result,
+      // so the matrix must be byte-exact.
+      EXPECT_EQ(
+          run_striped(csr, apps::Bfs{.source = 3}, devices, pipeline),
+          bfs_ref);
+      EXPECT_EQ(run_striped(csr, apps::Wcc{}, devices, pipeline), wcc_ref);
     }
   }
 }
@@ -472,77 +427,17 @@ TEST(StripedEngineMatrix, BfsAndWccAreExactAcrossTheMatrix) {
 TEST(StripedEngineMatrix, PageRankMatchesWithinFloatTolerance) {
   ScopedStripeEnv env;
   const auto csr = stripe_graph();
-  const auto ref = run_striped(csr, apps::PageRank{}, 1,
-                               CombinePlacement::kHost, /*pipeline=*/true);
+  const auto ref = run_striped(csr, apps::PageRank{}, 1, /*pipeline=*/true);
   for (unsigned devices : {2u, 4u}) {
-    for (const auto placement :
-         {CombinePlacement::kHost, CombinePlacement::kDevice}) {
-      SCOPED_TRACE(::testing::Message() << "devices=" << devices
-                                        << " placement="
-                                        << to_string(placement));
-      const auto got = run_striped(csr, apps::PageRank{}, devices, placement,
-                                   /*pipeline=*/true);
-      ASSERT_EQ(got.size(), ref.size());
-      for (std::size_t v = 0; v < ref.size(); ++v) {
-        // Device placement folds float sums per device before the host
-        // merge; values agree within rounding, not bit-for-bit.
-        EXPECT_NEAR(got[v], ref[v], 1e-4) << "vertex " << v;
-      }
+    SCOPED_TRACE(::testing::Message() << "devices=" << devices);
+    const auto got =
+        run_striped(csr, apps::PageRank{}, devices, /*pipeline=*/true);
+    ASSERT_EQ(got.size(), ref.size());
+    for (std::size_t v = 0; v < ref.size(); ++v) {
+      // Float sums: compared within rounding, not bit-for-bit.
+      EXPECT_NEAR(got[v], ref[v], 1e-4) << "vertex " << v;
     }
   }
-}
-
-// The near-storage combine operates on pushed log records; pin the
-// direction so the adaptive CI leg (MLVC_DIRECTION=adaptive), which pulls
-// PageRank's dense supersteps and deletes that log traffic outright,
-// doesn't erase the quantity under test.
-class ScopedPushDirection {
- public:
-  ScopedPushDirection() {
-    if (const char* v = std::getenv("MLVC_DIRECTION")) prev_ = v;
-    ::setenv("MLVC_DIRECTION", "push", 1);
-  }
-  ~ScopedPushDirection() {
-    if (prev_) {
-      ::setenv("MLVC_DIRECTION", prev_->c_str(), 1);
-    } else {
-      ::unsetenv("MLVC_DIRECTION");
-    }
-  }
-
- private:
-  std::optional<std::string> prev_;
-};
-
-TEST(StripedEngineMatrix, DeviceCombineShrinksBusTraffic) {
-  ScopedStripeEnv env;
-  ScopedPushDirection push_env;
-  const auto csr = stripe_graph();
-  const auto run_stats = [&](CombinePlacement placement) {
-    ssd::TempDir dir;
-    ssd::Storage storage(dir.path(), striped_config(4, 16_KiB));
-    auto opts = testing_options();
-    opts.max_supersteps = 10;
-    opts.combine_placement = placement;
-    auto intervals = core::partition_for_app<apps::PageRank>(csr, opts);
-    graph::StoredCsrGraph stored(storage, "g", csr, intervals);
-    core::MultiLogVCEngine<apps::PageRank> engine(stored, apps::PageRank{},
-                                                  opts);
-    return engine.run();
-  };
-  const auto host = run_stats(CombinePlacement::kHost);
-  const auto device = run_stats(CombinePlacement::kDevice);
-  EXPECT_EQ(host.combine_placement, "host");
-  EXPECT_EQ(device.combine_placement, "device");
-  EXPECT_EQ(device.num_devices, 4u);
-  ASSERT_GT(host.bytes_crossed_bus(), 0u);
-  ASSERT_GT(device.bytes_crossed_bus(), 0u);
-  // The point of the feature: fewer bytes cross the bus when the combine
-  // runs in the devices.
-  EXPECT_LT(device.bytes_crossed_bus(), host.bytes_crossed_bus());
-  EXPECT_GT(device.device_combine_records_in(),
-            device.device_combine_records_out());
-  EXPECT_EQ(host.device_combine_records_in(), 0u);
 }
 
 }  // namespace

@@ -47,7 +47,6 @@ struct RunConfig {
   SchedulePolicy schedule;        // superstep-internal interval order (mlvc)
   unsigned devices;               // striped backing devices for the store
   std::size_t stripe_unit;        // stripe unit bytes (0 = default)
-  CombinePlacement combine_placement;  // §V.D combine site (mlvc engine)
 };
 
 /// Per-layer on-disk vs logical byte split — makes bytes/edge (and the v2
@@ -100,7 +99,6 @@ int run_app(const graph::CsrGraph& csr, App app, const RunConfig& cfg) {
     opts.on_disk_format = cfg.format;
     opts.model = cfg.model;
     opts.schedule_policy = cfg.schedule;
-    opts.combine_placement = cfg.combine_placement;
     graph::StoredCsrGraph stored(storage, "g", csr,
                                  core::partition_for_app<App>(csr, opts),
                                  {.with_weights = App::kNeedsWeights,
@@ -184,10 +182,6 @@ int main(int argc, char** argv) {
               "(default MLVC_DEVICES or 1)",
               "-")
       .option("stripe", "stripe unit bytes, e.g. 128K (striped stores)", "-")
-      .option("combine-placement",
-              "combine site: host | device (default MLVC_COMBINE_PLACEMENT "
-              "or host; mlvc engine, striped stores)",
-              "-")
       .option("direction",
               "execution direction: push | pull | adaptive (default "
               "MLVC_DIRECTION or push; mlvc engine, sync model)",
@@ -236,9 +230,8 @@ int main(int argc, char** argv) {
       }
       setenv("MLVC_SCHEDULE", to_string(schedule), /*overwrite=*/1);
     }
-    // --devices / --stripe / --combine-placement: resolve-then-pin again,
-    // because Storage construction re-reads MLVC_DEVICES/MLVC_STRIPE_UNIT
-    // and the engine re-reads MLVC_COMBINE_PLACEMENT.
+    // --devices / --stripe: resolve-then-pin again, because Storage
+    // construction re-reads MLVC_DEVICES/MLVC_STRIPE_UNIT.
     unsigned devices = 1;
     if (const char* env = std::getenv("MLVC_DEVICES")) {
       const unsigned n = static_cast<unsigned>(std::strtoul(env, nullptr, 10));
@@ -260,18 +253,6 @@ int main(int argc, char** argv) {
       stripe_unit = static_cast<std::size_t>(args.get_bytes("stripe", 0));
       setenv("MLVC_STRIPE_UNIT", std::to_string(stripe_unit).c_str(),
              /*overwrite=*/1);
-    }
-    CombinePlacement placement =
-        core::apply_env_overrides(core::EngineOptions{}).combine_placement;
-    const std::string placement_arg =
-        args.get_string("combine-placement", "-");
-    if (placement_arg != "-") {
-      if (!parse_combine_placement(placement_arg.c_str(), &placement)) {
-        std::cerr << "unknown --combine-placement '" << placement_arg
-                  << "' (host | device)\n";
-        return 2;
-      }
-      setenv("MLVC_COMBINE_PLACEMENT", to_string(placement), /*overwrite=*/1);
     }
     // --direction: resolve-then-pin like --schedule; the engine re-reads
     // MLVC_DIRECTION at construction.
@@ -314,7 +295,6 @@ int main(int argc, char** argv) {
         schedule,
         devices,
         stripe_unit,
-        placement,
     };
     const auto source = static_cast<VertexId>(args.get_int("source", 0));
     const std::string app = args.get_string("app");
