@@ -36,8 +36,7 @@ void ablate(const Dataset& data, App app, metrics::Table& table) {
        [](core::EngineOptions& o) { o.predictor_history = 2; }},
       {"predictor_N4",
        [](core::EngineOptions& o) { o.predictor_history = 4; }},
-      {"no_pipeline",
-       [](core::EngineOptions& o) { o.enable_pipeline = false; }},
+      {"no_pipeline", [](core::EngineOptions& o) { o.io_threads = 0; }},
       {"pipeline_1io", [](core::EngineOptions& o) { o.io_threads = 1; }},
       // §V.B ablation: force the pre-scatter decode + comparison-sort path.
       // Page counts and final values must be identical to the default

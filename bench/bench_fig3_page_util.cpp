@@ -25,13 +25,10 @@ void measure(const Dataset& data, App app, metrics::Table& table) {
   opts.memory_budget_bytes = cfg.memory_budget;
   opts.max_supersteps = cfg.max_supersteps;
   opts.enable_edge_log = false;  // raw CSR accesses, as in the paper's Fig 3
-  const auto stats =
-      run_mlvc(data, app, cfg, always_continue, &opts);
-  std::uint64_t touched = 0, inefficient = 0;
-  for (const auto& s : stats.supersteps) {
-    touched += s.pages_touched;
-    inefficient += s.pages_inefficient;
-  }
+  const auto totals =
+      run_mlvc(data, app, cfg, always_continue, &opts).totals();
+  const std::uint64_t touched = totals.pages_touched;
+  const std::uint64_t inefficient = totals.pages_inefficient;
   table.add_row(
       {data.name, app.name(), std::to_string(touched),
        std::to_string(inefficient),

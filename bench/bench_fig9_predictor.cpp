@@ -20,18 +20,14 @@ namespace {
 template <core::VertexApp App>
 void measure(const Dataset& data, App app, metrics::Table& table) {
   const ScaledConfig cfg{.memory_budget = 1_MiB, .max_supersteps = 15};
-  const auto stats = run_mlvc(data, app, cfg);
-  std::uint64_t inefficient = 0, predicted = 0, edge_log_hits = 0;
-  for (const auto& s : stats.supersteps) {
-    inefficient += s.pages_inefficient;
-    predicted += s.pages_inefficient_predicted;
-    edge_log_hits += s.edge_log_hits;
-  }
+  const auto totals = run_mlvc(data, app, cfg).totals();
+  const std::uint64_t inefficient = totals.pages_inefficient;
+  const std::uint64_t predicted = totals.pages_inefficient_predicted;
   table.add_row(
       {data.name, app.name(), std::to_string(inefficient),
        std::to_string(predicted),
        format_fixed(inefficient ? 100.0 * predicted / inefficient : 0.0, 1),
-       std::to_string(edge_log_hits)});
+       std::to_string(totals.edge_log_hits)});
 }
 
 void run() {

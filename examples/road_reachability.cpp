@@ -73,11 +73,9 @@ int main() {
   // exactly why the paper's Figure 9 gains come from recurring-activity
   // applications (MIS, random walk), not BFS.
   const auto no_el = route(csr, 0, /*enable_edge_log=*/false, nullptr);
-  std::uint64_t hits = 0;
-  for (const auto& s : stats.supersteps) hits += s.edge_log_hits;
   std::cout << "\nedge-log ablation: " << format_count(stats.total_pages())
             << " pages with vs " << format_count(no_el.total_pages())
-            << " without (" << hits
+            << " without (" << stats.totals().edge_log_hits
             << " edge-log hits — a moving wavefront defeats history-based "
                "prediction, as expected)\n";
   return 0;

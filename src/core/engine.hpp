@@ -22,10 +22,10 @@
 //   4. under the asynchronous model, redeliver: each interval whose produce
 //      log grew during the wave gets one drain-only chain, so same-wave
 //      sends arrive before the generation swap (§V.F);
-//   5. close the superstep: score/advance the predictor, summarize page
+//   5. close the superstep: advance the predictor, summarize page
 //      utilization, apply buffered structural updates, swap log generations.
 //
-// With options.enable_pipeline the superstep is staged (§VI async I/O) by
+// With options.io_threads > 0 the superstep is staged (§VI async I/O) by
 // one prefetch rule: chain k+1's load/decode/sort (or pull fold) runs on
 // ssd::AsyncIo threads while chain k computes, and within an interval the
 // next active-vertex batches' adjacency/value loads run up to
@@ -605,7 +605,7 @@ class MultiLogVCEngine {
                        : ssd::PageCache::QueryRegistration{}),
         blob_scope_(ctx != nullptr ? &graph.storage() : nullptr,
                     blob_prefix_),
-        async_io_(options_.enable_pipeline && options_.io_threads > 0
+        async_io_(options_.io_threads > 0
                       ? std::make_unique<ssd::AsyncIo>(options_.io_threads)
                       : nullptr),
         store_(graph.storage(), blob_prefix_, graph.intervals(),
@@ -1364,7 +1364,6 @@ class MultiLogVCEngine {
     run_wave(s, active_now, step);
 
     // ---- close the superstep ---------------------------------------------
-    const auto predictor_score = predictor_.score(active_now);
     predictor_.observe(active_now);
     const auto util = util_tracker_.finish_superstep();
     apply_structural_updates();
@@ -1415,7 +1414,6 @@ class MultiLogVCEngine {
     step.pages_touched = util.pages_touched;
     step.pages_inefficient = util.pages_inefficient;
     step.pages_inefficient_predicted = util.inefficient_predicted;
-    step.predicted_active = predictor_score.predicted_and_active;
     step.total_wall_seconds = wall.elapsed_seconds();
     step.compute_wall_seconds = step_compute_seconds_;
     step.io_wall_seconds = step_io_seconds_;

@@ -4,7 +4,9 @@
 
 #include <cstdint>
 #include <cstdlib>
+#include <string>
 
+#include "common/error.hpp"
 #include "common/memory_budget.hpp"
 #include "common/types.hpp"
 #include "ssd/device_model.hpp"
@@ -85,17 +87,14 @@ struct EngineOptions {
   /// (paper uses 10%).
   double page_util_threshold = 0.10;
 
-  /// Pipelined superstep execution (§VI async I/O): log load/decode/sort of
-  /// interval group k+1 overlaps group k's compute, adjacency batches are
-  /// prefetched while the current batch runs, and full multi-log top pages
-  /// are written back by I/O threads instead of the producing compute
-  /// thread. Vertex values are identical to the serial path; only the
-  /// overlap (and so wall time) changes. false = fully serial superstep.
-  bool enable_pipeline = true;
-
-  /// Dedicated I/O threads for the pipeline (ssd::AsyncIo pool size). The
-  /// paper keeps "many page reads in flight with minimal host resources";
-  /// 0 behaves like enable_pipeline = false.
+  /// Dedicated I/O threads (ssd::AsyncIo pool size) for pipelined superstep
+  /// execution (§VI async I/O): log load/decode/sort of interval group k+1
+  /// overlaps group k's compute, adjacency batches are prefetched while the
+  /// current batch runs, and full multi-log top pages are written back by
+  /// I/O threads instead of the producing compute thread. The paper keeps
+  /// "many page reads in flight with minimal host resources". Vertex values
+  /// are identical to the serial path; only the overlap (and so wall time)
+  /// changes. 0 = fully serial superstep.
   unsigned io_threads = 4;
 
   /// How many active-vertex batches ahead the graph loader may run. 1 is
@@ -175,13 +174,29 @@ struct EngineOptions {
   }
 };
 
+/// Read the enum override `var` into `*out` with `parse` (false = unknown
+/// value). An unknown value throws InvalidArgument naming the variable and
+/// the accepted spellings: a CI leg with a typo fails instead of quietly
+/// re-testing the default.
+template <typename T, typename Parse>
+void parse_env_enum(const char* var, const char* accepted, T* out,
+                    Parse parse) {
+  const char* env = std::getenv(var);
+  if (env != nullptr && !parse(env, out)) {
+    throw InvalidArgument(std::string(var) + ": unknown value '" + env +
+                          "' (want " + accepted + ")");
+  }
+}
+
 /// Environment overrides, applied by the engine at construction so every
 /// entry point (tools, tests, benches) honors them. MLVC_SCATTER_STAGING
 /// pins the produce-path staging depth — CI runs the tier-1 suite with it
 /// set to 1 to keep the worst-case flush-churn configuration honest. The
 /// MLVC_FAULT_* overrides let the CI fault matrix tune the retry budget and
 /// recovery mode underneath an unmodified test suite, and MLVC_IO_BACKEND /
-/// MLVC_URING_DEPTH re-run the same suite on the io_uring substrate.
+/// MLVC_URING_DEPTH re-run the same suite on the io_uring substrate. The
+/// enum overrides (MLVC_IO_BACKEND, MLVC_FORMAT, MLVC_SCHEDULE,
+/// MLVC_DIRECTION) reject unknown values.
 inline EngineOptions apply_env_overrides(EngineOptions options) {
   if (const char* env = std::getenv("MLVC_SCATTER_STAGING")) {
     options.scatter_staging_records =
@@ -198,31 +213,24 @@ inline EngineOptions apply_env_overrides(EngineOptions options) {
   if (const char* env = std::getenv("MLVC_FAULT_TORN_RECOVERY")) {
     options.torn_page_recovery = std::strtoul(env, nullptr, 10) != 0;
   }
-  if (const char* env = std::getenv("MLVC_IO_BACKEND")) {
-    // Unknown values are rejected by Storage's own MLVC_IO_BACKEND parse;
-    // here an unparsable value just leaves the configured backend alone.
-    if (const auto kind = ssd::parse_io_backend(env)) {
-      options.io_backend = *kind;
-    }
-  }
-  if (const char* env = std::getenv("MLVC_FORMAT")) {
-    // Same convention as MLVC_IO_BACKEND: an unparsable value leaves the
-    // configured format alone rather than aborting every entry point.
-    parse_on_disk_format(env, &options.on_disk_format);
-  }
-  if (const char* env = std::getenv("MLVC_SCHEDULE")) {
-    // Ordering only: the override never flips the computation model, so a
-    // tier-1 re-run under MLVC_SCHEDULE=hub-degree keeps every app's
-    // delivery semantics (and therefore its values) intact.
-    parse_schedule_policy(env, &options.schedule_policy);
-  }
-  if (const char* env = std::getenv("MLVC_DIRECTION")) {
-    // Same convention as MLVC_SCHEDULE: an unparsable value leaves the
-    // configured direction alone. Pull/adaptive are self-gating — a store
-    // with no transpose (or an app with no pull hook) still runs push, so
-    // a tier-1 re-run under MLVC_DIRECTION=adaptive is always safe.
-    parse_direction_mode(env, &options.direction);
-  }
+  parse_env_enum("MLVC_IO_BACKEND", "threadpool|uring", &options.io_backend,
+                 [](const char* s, ssd::IoBackendKind* out) {
+                   const auto kind = ssd::parse_io_backend(s);
+                   if (kind) *out = *kind;
+                   return kind.has_value();
+                 });
+  parse_env_enum("MLVC_FORMAT", "v1|v2", &options.on_disk_format,
+                 parse_on_disk_format);
+  // Ordering only: the override never flips the computation model, so a
+  // tier-1 re-run under MLVC_SCHEDULE=hub-degree keeps every app's
+  // delivery semantics (and therefore its values) intact.
+  parse_env_enum("MLVC_SCHEDULE", "bsp|fifo|hub-degree|log-bytes",
+                 &options.schedule_policy, parse_schedule_policy);
+  // Pull/adaptive are self-gating — a store with no transpose (or an app
+  // with no pull hook) still runs push, so a tier-1 re-run under
+  // MLVC_DIRECTION=adaptive is always safe.
+  parse_env_enum("MLVC_DIRECTION", "push|pull|adaptive", &options.direction,
+                 parse_direction_mode);
   if (const char* env = std::getenv("MLVC_URING_DEPTH")) {
     const unsigned d = static_cast<unsigned>(std::strtoul(env, nullptr, 10));
     if (d > 0) options.io_queue_depth = d;

@@ -131,16 +131,17 @@ RuntimeContext::RuntimeContext(std::filesystem::path dir,
 }
 
 void RuntimeContext::merge_run(const RunStats& stats) {
+  const SuperstepStats totals = stats.totals();
   std::lock_guard<std::mutex> lock(agg_mutex_);
   ++aggregates_.queries_completed;
   aggregates_.supersteps += stats.supersteps.size();
-  aggregates_.messages += stats.total_messages();
-  aggregates_.pages_read += stats.total_pages_read();
-  aggregates_.pages_written += stats.total_pages_written();
+  aggregates_.messages += totals.messages_produced;
+  aggregates_.pages_read += totals.io.total_pages_read();
+  aggregates_.pages_written += totals.io.total_pages_written();
   aggregates_.cache_hit_pages += stats.query_cache_hit_pages;
   aggregates_.cache_miss_pages += stats.query_cache_miss_pages;
   aggregates_.cache_bypass_pages += stats.query_cache_bypass_pages;
-  aggregates_.query_wall_seconds += stats.total_wall_seconds();
+  aggregates_.query_wall_seconds += totals.total_wall_seconds;
 }
 
 ContextAggregates RuntimeContext::aggregates() const {

@@ -5,8 +5,10 @@
 // (Fig 5c), per-superstep relative time (Fig 7), predictor recall (Fig 9).
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/types.hpp"
@@ -115,8 +117,55 @@ struct SuperstepStats {
   std::uint64_t pages_inefficient_predicted = 0;
   std::uint64_t edge_log_hits = 0;
 
-  // Predictor accuracy on vertices.
-  std::uint64_t predicted_active = 0;
+  /// How RunStats::totals() combines a field across supersteps.
+  enum class Combine : std::uint8_t { kSum, kMax };
+
+  /// The field list: calls f(key, combine, s.field...) once per field, in
+  /// run-JSON order, with the matching member of every `s`. Covers every
+  /// field except `superstep` and `io` (combined by IoStatsSnapshot's own
+  /// lists). A new field needs its declaration and one line here.
+  template <typename F, typename... S>
+  static void for_each_field(F&& f, S&&... s) {
+    constexpr Combine kSum = Combine::kSum;
+    f("active_vertices", kSum, s.active_vertices...);
+    f("messages_consumed", kSum, s.messages_consumed...);
+    f("messages_produced", kSum, s.messages_produced...);
+    f("edges_activated", kSum, s.edges_activated...);
+    f("modeled_storage_seconds", kSum, s.modeled_storage_seconds...);
+    f("compute_wall_seconds", kSum, s.compute_wall_seconds...);
+    f("sort_group_seconds", kSum, s.sort_group_seconds...);
+    f("offthread_sort_seconds", kSum, s.offthread_sort_seconds...);
+    f("groups_scatter", kSum, s.groups_scatter...);
+    f("groups_comparison", kSum, s.groups_comparison...);
+    f("scatter_flush_count", kSum, s.scatter_flush_count...);
+    f("scatter_stall_seconds", kSum, s.scatter_stall_seconds...);
+    f("log_records_folded", kSum, s.log_records_folded...);
+    f("fold_seconds", kSum, s.fold_seconds...);
+    f("io_wall_seconds", kSum, s.io_wall_seconds...);
+    f("total_wall_seconds", kSum, s.total_wall_seconds...);
+    f("torn_bytes_dropped", kSum, s.torn_bytes_dropped...);
+    f("intervals_scheduled", kSum, s.intervals_scheduled...);
+    f("schedule_reorder_depth", Combine::kMax, s.schedule_reorder_depth...);
+    f("ready_latency_seconds", kSum, s.ready_latency_seconds...);
+    f("intervals_pulled", kSum, s.intervals_pulled...);
+    f("log_bytes_avoided", kSum, s.log_bytes_avoided...);
+    f("pages_touched", kSum, s.pages_touched...);
+    f("pages_inefficient", kSum, s.pages_inefficient...);
+    f("pages_inefficient_predicted", kSum, s.pages_inefficient_predicted...);
+    f("edge_log_hits", kSum, s.edge_log_hits...);
+  }
+
+  /// Combine `rhs` into this superstep's fields: sums, except the max of
+  /// schedule_reorder_depth and of the io gauges. `superstep` is left alone.
+  SuperstepStats& operator+=(const SuperstepStats& rhs) {
+    for_each_field(
+        [](std::string_view, Combine how, auto& total, const auto& v) {
+          total = how == Combine::kMax ? std::max(total, v) : total + v;
+        },
+        *this, rhs);
+    io += rhs.io;
+    return *this;
+  }
 };
 
 struct RunStats {
@@ -162,99 +211,60 @@ struct RunStats {
   std::uint64_t query_cache_miss_pages = 0;
   std::uint64_t query_cache_bypass_pages = 0;
 
-  std::uint64_t total_pages_read() const {
-    std::uint64_t t = 0;
-    for (const auto& s : supersteps) t += s.io.total_pages_read();
+  /// Every superstep combined (SuperstepStats::operator+=). The named views
+  /// below read one field of it each.
+  SuperstepStats totals() const {
+    SuperstepStats t;
+    for (const auto& s : supersteps) t += s;
     return t;
+  }
+
+  std::uint64_t total_pages_read() const {
+    return totals().io.total_pages_read();
   }
   std::uint64_t total_pages_written() const {
-    std::uint64_t t = 0;
-    for (const auto& s : supersteps) t += s.io.total_pages_written();
-    return t;
+    return totals().io.total_pages_written();
   }
-  std::uint64_t total_pages() const {
-    return total_pages_read() + total_pages_written();
-  }
+  std::uint64_t total_pages() const { return totals().io.total_pages(); }
   double modeled_storage_seconds() const {
-    double t = 0;
-    for (const auto& s : supersteps) t += s.modeled_storage_seconds;
-    return t;
+    return totals().modeled_storage_seconds;
   }
-  double compute_seconds() const {
-    double t = 0;
-    for (const auto& s : supersteps) t += s.compute_wall_seconds;
-    return t;
-  }
-  double sort_group_seconds() const {
-    double t = 0;
-    for (const auto& s : supersteps) t += s.sort_group_seconds;
-    return t;
-  }
-  std::uint64_t groups_scatter() const {
-    std::uint64_t t = 0;
-    for (const auto& s : supersteps) t += s.groups_scatter;
-    return t;
-  }
-  std::uint64_t groups_comparison() const {
-    std::uint64_t t = 0;
-    for (const auto& s : supersteps) t += s.groups_comparison;
-    return t;
-  }
+  double compute_seconds() const { return totals().compute_wall_seconds; }
+  double sort_group_seconds() const { return totals().sort_group_seconds; }
+  std::uint64_t groups_scatter() const { return totals().groups_scatter; }
+  std::uint64_t groups_comparison() const { return totals().groups_comparison; }
   std::uint64_t scatter_flush_count() const {
-    std::uint64_t t = 0;
-    for (const auto& s : supersteps) t += s.scatter_flush_count;
-    return t;
+    return totals().scatter_flush_count;
   }
   double scatter_stall_seconds() const {
-    double t = 0;
-    for (const auto& s : supersteps) t += s.scatter_stall_seconds;
-    return t;
+    return totals().scatter_stall_seconds;
   }
   std::uint64_t log_records_folded() const {
-    std::uint64_t t = 0;
-    for (const auto& s : supersteps) t += s.log_records_folded;
-    return t;
+    return totals().log_records_folded;
   }
-  double fold_seconds() const {
-    double t = 0;
-    for (const auto& s : supersteps) t += s.fold_seconds;
-    return t;
-  }
-  double io_wait_seconds() const {
-    double t = 0;
-    for (const auto& s : supersteps) t += s.io_wall_seconds;
-    return t;
-  }
-  double total_wall_seconds() const {
-    double t = 0;
-    for (const auto& s : supersteps) t += s.total_wall_seconds;
-    return t;
-  }
+  double fold_seconds() const { return totals().fold_seconds; }
+  double io_wait_seconds() const { return totals().io_wall_seconds; }
+  double total_wall_seconds() const { return totals().total_wall_seconds; }
+  /// Summed per superstep, not from totals(): compute + storage is added
+  /// within each superstep first, and the floating-point order is kept.
   double modeled_total_seconds() const {
     double t = 0;
     for (const auto& s : supersteps) t += s.modeled_total_seconds();
     return t;
   }
   double offthread_sort_seconds() const {
-    double t = 0;
-    for (const auto& s : supersteps) t += s.offthread_sort_seconds;
-    return t;
+    return totals().offthread_sort_seconds;
   }
-  /// Thread-placement-invariant modeled wall time (SuperstepStats doc).
+  /// Thread-placement-invariant modeled wall time (SuperstepStats doc);
+  /// summed per superstep like modeled_total_seconds().
   double modeled_work_seconds() const {
     double t = 0;
     for (const auto& s : supersteps) t += s.modeled_work_seconds();
     return t;
   }
-  std::uint64_t total_messages() const {
-    std::uint64_t t = 0;
-    for (const auto& s : supersteps) t += s.messages_produced;
-    return t;
-  }
+  std::uint64_t total_messages() const { return totals().messages_produced; }
   std::uint64_t torn_bytes_dropped() const {
-    std::uint64_t t = 0;
-    for (const auto& s : supersteps) t += s.torn_bytes_dropped;
-    return t;
+    return totals().torn_bytes_dropped;
   }
   /// Effective rounds: supersteps actually executed. Under the asynchronous
   /// model with a schedule policy this is what same-wave delivery shrinks
@@ -263,99 +273,22 @@ struct RunStats {
     return static_cast<std::uint64_t>(supersteps.size());
   }
   std::uint64_t intervals_scheduled() const {
-    std::uint64_t t = 0;
-    for (const auto& s : supersteps) t += s.intervals_scheduled;
-    return t;
+    return totals().intervals_scheduled;
   }
   /// Gauge: the deepest any wave's priority policy reordered an interval.
   std::uint64_t schedule_reorder_depth() const {
-    std::uint64_t m = 0;
-    for (const auto& s : supersteps) {
-      if (s.schedule_reorder_depth > m) m = s.schedule_reorder_depth;
-    }
-    return m;
+    return totals().schedule_reorder_depth;
   }
   double ready_latency_seconds() const {
-    double t = 0;
-    for (const auto& s : supersteps) t += s.ready_latency_seconds;
-    return t;
+    return totals().ready_latency_seconds;
   }
-  std::uint64_t intervals_pulled() const {
-    std::uint64_t t = 0;
-    for (const auto& s : supersteps) t += s.intervals_pulled;
-    return t;
-  }
-  std::uint64_t log_bytes_avoided() const {
-    std::uint64_t t = 0;
-    for (const auto& s : supersteps) t += s.log_bytes_avoided;
-    return t;
-  }
-  std::uint64_t io_retries() const {
-    std::uint64_t t = 0;
-    for (const auto& s : supersteps) t += s.io.io_retry_count;
-    return t;
-  }
-  std::uint64_t io_giveups() const {
-    std::uint64_t t = 0;
-    for (const auto& s : supersteps) t += s.io.io_giveup_count;
-    return t;
-  }
-  std::uint64_t io_submit_batches() const {
-    std::uint64_t t = 0;
-    for (const auto& s : supersteps) t += s.io.submit_batches;
-    return t;
-  }
-  std::uint64_t sqe_coalesced_ops() const {
-    std::uint64_t t = 0;
-    for (const auto& s : supersteps) t += s.io.sqe_coalesced_ops;
-    return t;
-  }
-  /// Physical vs logical traffic split (DESIGN.md format v2): physical is
-  /// what the blob layer moved (compressed lengths under v2), logical is the
-  /// post-decode byte volume the consumers saw. logical/physical is the
-  /// run-level compression ratio; restrict to one category for a per-layer
-  /// view (adjacency vs message log vs checkpoint).
-  std::uint64_t physical_bytes_read() const {
-    std::uint64_t t = 0;
-    for (const auto& s : supersteps) t += s.io.total_bytes_read();
-    return t;
-  }
-  std::uint64_t physical_bytes_written() const {
-    std::uint64_t t = 0;
-    for (const auto& s : supersteps) t += s.io.total_bytes_written();
-    return t;
-  }
-  std::uint64_t logical_bytes_read() const {
-    std::uint64_t t = 0;
-    for (const auto& s : supersteps) t += s.io.total_logical_bytes_read();
-    return t;
-  }
-  std::uint64_t logical_bytes_written() const {
-    std::uint64_t t = 0;
-    for (const auto& s : supersteps) t += s.io.total_logical_bytes_written();
-    return t;
-  }
-  /// Per-layer split of the same numbers (categories sum to the totals).
+  std::uint64_t intervals_pulled() const { return totals().intervals_pulled; }
+  std::uint64_t log_bytes_avoided() const { return totals().log_bytes_avoided; }
+  std::uint64_t io_retries() const { return totals().io.io_retry_count; }
+  std::uint64_t io_giveups() const { return totals().io.io_giveup_count; }
+  /// One I/O category's pages and bytes (categories sum to the totals).
   ssd::IoStatsSnapshot::Category category_bytes(ssd::IoCategory c) const {
-    ssd::IoStatsSnapshot::Category out;
-    for (const auto& s : supersteps) {
-      const auto& cat = s.io[c];
-      out.pages_read += cat.pages_read;
-      out.pages_written += cat.pages_written;
-      out.bytes_read += cat.bytes_read;
-      out.bytes_written += cat.bytes_written;
-      out.logical_bytes_read += cat.logical_bytes_read;
-      out.logical_bytes_written += cat.logical_bytes_written;
-    }
-    return out;
-  }
-  /// Gauge: the deepest any superstep drove the submission ring.
-  std::uint64_t max_inflight_depth() const {
-    std::uint64_t m = 0;
-    for (const auto& s : supersteps) {
-      if (s.io.max_inflight_depth > m) m = s.io.max_inflight_depth;
-    }
-    return m;
+    return totals().io[c];
   }
 };
 

@@ -3,6 +3,7 @@
 #include <iomanip>
 #include <ostream>
 #include <sstream>
+#include <string_view>
 
 namespace mlvc::metrics {
 
@@ -29,31 +30,24 @@ void write_escaped(std::ostream& out, const std::string& s) {
 
 void write_io(std::ostream& out, const ssd::IoStatsSnapshot& io) {
   out << "{\"pages_read\":" << io.total_pages_read()
-      << ",\"pages_written\":" << io.total_pages_written()
-      << ",\"cache_hit_pages\":" << io.cache_hit_pages
-      << ",\"cache_miss_pages\":" << io.cache_miss_pages
-      << ",\"cache_evictions\":" << io.cache_evictions
-      << ",\"cache_bypass_pages\":" << io.cache_bypass_pages
-      << ",\"cache_bytes_high_water\":" << io.cache_bytes_high_water
-      << ",\"io_retries\":" << io.io_retry_count
-      << ",\"io_giveups\":" << io.io_giveup_count
-      << ",\"submit_batches\":" << io.submit_batches
-      << ",\"sqe_coalesced_ops\":" << io.sqe_coalesced_ops
-      << ",\"max_inflight_depth\":" << io.max_inflight_depth
-      << ",\"by_category\":{";
+      << ",\"pages_written\":" << io.total_pages_written();
+  for (const auto& f : ssd::kIoScalarFields) {
+    out << ",\"" << f.key << "\":" << io.*f.member;
+  }
+  out << ",\"by_category\":{";
   bool first = true;
   for (unsigned c = 0; c < ssd::kNumIoCategories; ++c) {
     const auto& cat = io.categories[c];
     if (cat.pages_read + cat.pages_written == 0) continue;
     if (!first) out << ',';
     first = false;
-    out << '"' << ssd::to_string(static_cast<ssd::IoCategory>(c))
-        << "\":{\"pages_read\":" << cat.pages_read
-        << ",\"pages_written\":" << cat.pages_written
-        << ",\"bytes_read\":" << cat.bytes_read
-        << ",\"bytes_written\":" << cat.bytes_written
-        << ",\"logical_bytes_read\":" << cat.logical_bytes_read
-        << ",\"logical_bytes_written\":" << cat.logical_bytes_written << '}';
+    out << '"' << ssd::to_string(static_cast<ssd::IoCategory>(c)) << "\":";
+    char sep = '{';
+    for (const auto& f : ssd::kIoCategoryFields) {
+      out << sep << '"' << f.key << "\":" << cat.*f.member;
+      sep = ',';
+    }
+    out << '}';
   }
   out << "}}";
 }
@@ -96,74 +90,55 @@ void write_json(const core::RunStats& stats, std::ostream& out) {
       << ",\"cache_hit_pages\":" << stats.query_cache_hit_pages
       << ",\"cache_miss_pages\":" << stats.query_cache_miss_pages
       << ",\"cache_bypass_pages\":" << stats.query_cache_bypass_pages << '}';
+  const core::SuperstepStats t = stats.totals();
   out << ",\"totals\":{"
       << "\"supersteps\":" << stats.supersteps.size()
-      << ",\"pages_read\":" << stats.total_pages_read()
-      << ",\"pages_written\":" << stats.total_pages_written()
-      << ",\"physical_bytes_read\":" << stats.physical_bytes_read()
-      << ",\"physical_bytes_written\":" << stats.physical_bytes_written()
-      << ",\"logical_bytes_read\":" << stats.logical_bytes_read()
-      << ",\"logical_bytes_written\":" << stats.logical_bytes_written()
-      << ",\"messages\":" << stats.total_messages()
-      << ",\"modeled_storage_seconds\":" << stats.modeled_storage_seconds()
-      << ",\"compute_seconds\":" << stats.compute_seconds()
-      << ",\"sort_group_seconds\":" << stats.sort_group_seconds()
-      << ",\"groups_scatter\":" << stats.groups_scatter()
-      << ",\"groups_comparison\":" << stats.groups_comparison()
-      << ",\"scatter_flush_count\":" << stats.scatter_flush_count()
-      << ",\"scatter_stall_seconds\":" << stats.scatter_stall_seconds()
-      << ",\"log_records_folded\":" << stats.log_records_folded()
-      << ",\"fold_seconds\":" << stats.fold_seconds()
+      << ",\"pages_read\":" << t.io.total_pages_read()
+      << ",\"pages_written\":" << t.io.total_pages_written()
+      << ",\"physical_bytes_read\":" << t.io.total_bytes_read()
+      << ",\"physical_bytes_written\":" << t.io.total_bytes_written()
+      << ",\"logical_bytes_read\":" << t.io.total_logical_bytes_read()
+      << ",\"logical_bytes_written\":" << t.io.total_logical_bytes_written()
+      << ",\"messages\":" << t.messages_produced
+      << ",\"modeled_storage_seconds\":" << t.modeled_storage_seconds
+      << ",\"compute_seconds\":" << t.compute_wall_seconds
+      << ",\"sort_group_seconds\":" << t.sort_group_seconds
+      << ",\"groups_scatter\":" << t.groups_scatter
+      << ",\"groups_comparison\":" << t.groups_comparison
+      << ",\"scatter_flush_count\":" << t.scatter_flush_count
+      << ",\"scatter_stall_seconds\":" << t.scatter_stall_seconds
+      << ",\"log_records_folded\":" << t.log_records_folded
+      << ",\"fold_seconds\":" << t.fold_seconds
       << ",\"fold_wide_intervals\":" << stats.fold_wide_intervals
-      << ",\"io_wait_seconds\":" << stats.io_wait_seconds()
-      << ",\"io_retries\":" << stats.io_retries()
-      << ",\"io_giveups\":" << stats.io_giveups()
-      << ",\"io_submit_batches\":" << stats.io_submit_batches()
-      << ",\"sqe_coalesced_ops\":" << stats.sqe_coalesced_ops()
-      << ",\"max_inflight_depth\":" << stats.max_inflight_depth()
-      << ",\"torn_bytes_dropped\":" << stats.torn_bytes_dropped()
-      << ",\"intervals_pulled\":" << stats.intervals_pulled()
-      << ",\"log_bytes_avoided\":" << stats.log_bytes_avoided()
+      << ",\"io_wait_seconds\":" << t.io_wall_seconds
+      << ",\"io_retries\":" << t.io.io_retry_count
+      << ",\"io_giveups\":" << t.io.io_giveup_count
+      << ",\"io_submit_batches\":" << t.io.submit_batches
+      << ",\"sqe_coalesced_ops\":" << t.io.sqe_coalesced_ops
+      << ",\"max_inflight_depth\":" << t.io.max_inflight_depth
+      << ",\"torn_bytes_dropped\":" << t.torn_bytes_dropped
+      << ",\"intervals_pulled\":" << t.intervals_pulled
+      << ",\"log_bytes_avoided\":" << t.log_bytes_avoided
       << ",\"effective_rounds\":" << stats.effective_rounds()
-      << ",\"intervals_scheduled\":" << stats.intervals_scheduled()
-      << ",\"schedule_reorder_depth\":" << stats.schedule_reorder_depth()
-      << ",\"ready_latency_seconds\":" << stats.ready_latency_seconds()
-      << ",\"total_wall_seconds\":" << stats.total_wall_seconds()
+      << ",\"intervals_scheduled\":" << t.intervals_scheduled
+      << ",\"schedule_reorder_depth\":" << t.schedule_reorder_depth
+      << ",\"ready_latency_seconds\":" << t.ready_latency_seconds
+      << ",\"total_wall_seconds\":" << t.total_wall_seconds
       << ",\"modeled_total_seconds\":" << stats.modeled_total_seconds()
-      << ",\"offthread_sort_seconds\":" << stats.offthread_sort_seconds()
+      << ",\"offthread_sort_seconds\":" << t.offthread_sort_seconds
       << ",\"modeled_work_seconds\":" << stats.modeled_work_seconds()
       << ",\"build_seconds\":" << stats.build_seconds << '}'
       << ",\"supersteps\":[";
   for (std::size_t i = 0; i < stats.supersteps.size(); ++i) {
     const auto& s = stats.supersteps[i];
     if (i) out << ',';
-    out << "{\"superstep\":" << s.superstep
-        << ",\"active_vertices\":" << s.active_vertices
-        << ",\"messages_consumed\":" << s.messages_consumed
-        << ",\"messages_produced\":" << s.messages_produced
-        << ",\"edges_activated\":" << s.edges_activated
-        << ",\"modeled_storage_seconds\":" << s.modeled_storage_seconds
-        << ",\"compute_wall_seconds\":" << s.compute_wall_seconds
-        << ",\"sort_group_seconds\":" << s.sort_group_seconds
-        << ",\"groups_scatter\":" << s.groups_scatter
-        << ",\"groups_comparison\":" << s.groups_comparison
-        << ",\"scatter_flush_count\":" << s.scatter_flush_count
-        << ",\"scatter_stall_seconds\":" << s.scatter_stall_seconds
-        << ",\"log_records_folded\":" << s.log_records_folded
-        << ",\"fold_seconds\":" << s.fold_seconds
-        << ",\"io_wall_seconds\":" << s.io_wall_seconds
-        << ",\"total_wall_seconds\":" << s.total_wall_seconds
-        << ",\"torn_bytes_dropped\":" << s.torn_bytes_dropped
-        << ",\"intervals_scheduled\":" << s.intervals_scheduled
-        << ",\"schedule_reorder_depth\":" << s.schedule_reorder_depth
-        << ",\"ready_latency_seconds\":" << s.ready_latency_seconds
-        << ",\"intervals_pulled\":" << s.intervals_pulled
-        << ",\"log_bytes_avoided\":" << s.log_bytes_avoided
-        << ",\"pages_touched\":" << s.pages_touched
-        << ",\"pages_inefficient\":" << s.pages_inefficient
-        << ",\"pages_inefficient_predicted\":"
-        << s.pages_inefficient_predicted
-        << ",\"edge_log_hits\":" << s.edge_log_hits << ",\"io\":";
+    out << "{\"superstep\":" << s.superstep;
+    core::SuperstepStats::for_each_field(
+        [&](std::string_view key, auto, const auto& v) {
+          out << ",\"" << key << "\":" << v;
+        },
+        s);
+    out << ",\"io\":";
     write_io(out, s.io);
     out << '}';
   }

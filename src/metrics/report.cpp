@@ -67,32 +67,33 @@ std::string csv_dir_from_env() {
 }
 
 std::string summarize(const core::RunStats& stats) {
+  const core::SuperstepStats t = stats.totals();
   std::ostringstream os;
   os << stats.engine << "/" << stats.app << ": "
      << stats.supersteps.size() << " supersteps, "
-     << format_count(stats.total_pages_read()) << " pages read, "
-     << format_count(stats.total_pages_written()) << " pages written, "
-     << format_fixed(stats.modeled_storage_seconds(), 3) << "s storage + "
-     << format_fixed(stats.compute_seconds(), 3) << "s compute = "
+     << format_count(t.io.total_pages_read()) << " pages read, "
+     << format_count(t.io.total_pages_written()) << " pages written, "
+     << format_fixed(t.modeled_storage_seconds, 3) << "s storage + "
+     << format_fixed(t.compute_wall_seconds, 3) << "s compute = "
      << format_fixed(stats.modeled_total_seconds(), 3) << "s";
   if (!stats.schedule_policy.empty() && stats.schedule_policy != "bsp") {
     os << " [schedule=" << stats.schedule_policy << ", "
-       << format_count(stats.intervals_scheduled()) << " chains, reorder "
-       << stats.schedule_reorder_depth() << "]";
+       << format_count(t.intervals_scheduled) << " chains, reorder "
+       << t.schedule_reorder_depth << "]";
   }
   if (!stats.io_backend.empty()) {
     os << " [io=" << stats.io_backend;
     if (stats.io_backend == "uring") {
-      os << ", " << format_count(stats.io_submit_batches()) << " batches, "
-         << format_count(stats.sqe_coalesced_ops()) << " coalesced, depth "
-         << stats.max_inflight_depth();
+      os << ", " << format_count(t.io.submit_batches) << " batches, "
+         << format_count(t.io.sqe_coalesced_ops) << " coalesced, depth "
+         << t.io.max_inflight_depth;
     }
     os << "]";
   }
   const std::uint64_t physical =
-      stats.physical_bytes_read() + stats.physical_bytes_written();
+      t.io.total_bytes_read() + t.io.total_bytes_written();
   const std::uint64_t logical =
-      stats.logical_bytes_read() + stats.logical_bytes_written();
+      t.io.total_logical_bytes_read() + t.io.total_logical_bytes_written();
   if (physical > 0 && logical > 0) {
     os << " [bytes: " << format_count(physical) << " on-disk / "
        << format_count(logical) << " logical, "

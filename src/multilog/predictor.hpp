@@ -4,8 +4,6 @@
 // predicts the vertex to be active. More complex prediction schemes were
 // considered, but this simple history-based prediction with N equal to one
 // proved effective."
-//
-// The predictor also exposes accuracy counters for the Figure 9 experiment.
 #pragma once
 
 #include <deque>
@@ -64,25 +62,6 @@ class HistoryPredictor {
     for (VertexId v = begin; v < end; ++v) {
       if (predict_active(v)) fn(static_cast<std::size_t>(v));
     }
-  }
-
-  /// Score a finished superstep against what was predicted before it:
-  /// returns (correctly predicted active, actually active).
-  struct Accuracy {
-    std::size_t predicted_and_active = 0;
-    std::size_t active = 0;
-    double recall() const {
-      return active == 0 ? 0.0
-                         : static_cast<double>(predicted_and_active) / active;
-    }
-  };
-  Accuracy score(const DynamicBitset& actual_active) const {
-    Accuracy acc;
-    actual_active.for_each_set([&](std::size_t v) {
-      ++acc.active;
-      if (predict_active(static_cast<VertexId>(v))) ++acc.predicted_and_active;
-    });
-    return acc;
   }
 
  private:

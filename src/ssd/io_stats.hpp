@@ -7,10 +7,13 @@
 // numbers.
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <atomic>
 #include <cstdint>
+#include <iterator>
 #include <string_view>
+#include <type_traits>
 
 namespace mlvc::ssd {
 
@@ -45,7 +48,23 @@ inline std::string_view to_string(IoCategory c) {
 inline constexpr unsigned kNumIoCategories =
     static_cast<unsigned>(IoCategory::kCount);
 
-/// Plain-value snapshot of the counters (copyable, diffable).
+/// How a field combines: a counter accumulates (diffs subtract, sums add);
+/// a gauge is a high-water mark (diffs carry the current mark through, sums
+/// take the max).
+enum class IoFieldKind : std::uint8_t { kCounter, kGauge };
+
+/// One entry of a field list below: the field's run-JSON key, where it
+/// lives in the snapshot, and how it combines.
+template <typename Owner>
+struct IoField {
+  std::string_view key;
+  std::uint64_t Owner::*member;
+  IoFieldKind kind = IoFieldKind::kCounter;
+};
+
+/// Plain-value snapshot of the counters (copyable, diffable, summable).
+/// Every field is also listed in kIoCategoryFields or kIoScalarFields,
+/// which drive the live counters, the arithmetic and the run JSON.
 struct IoStatsSnapshot {
   struct Category {
     std::uint64_t pages_read = 0;
@@ -74,8 +93,7 @@ struct IoStatsSnapshot {
   /// never displace another query's resident pages).
   std::uint64_t cache_evictions = 0;
   std::uint64_t cache_bypass_pages = 0;
-  /// High-water mark of resident cache bytes (a gauge like
-  /// max_inflight_depth — snapshot diffs carry the current mark through).
+  /// High-water mark of resident cache bytes (a gauge).
   std::uint64_t cache_bytes_high_water = 0;
   /// Robustness counters: I/O attempts re-issued after a transient failure
   /// (EINTR/EAGAIN/EIO), and operations that exhausted the retry budget (or
@@ -88,8 +106,7 @@ struct IoStatsSnapshot {
   /// backend.
   std::uint64_t submit_batches = 0;
   std::uint64_t sqe_coalesced_ops = 0;
-  /// High-water mark of SQEs in flight on any one ring (a gauge, not a
-  /// counter — snapshot diffs carry the current mark through unchanged).
+  /// High-water mark of SQEs in flight on any one ring (a gauge).
   std::uint64_t max_inflight_depth = 0;
 
   const Category& operator[](IoCategory c) const {
@@ -99,78 +116,103 @@ struct IoStatsSnapshot {
     return categories[static_cast<unsigned>(c)];
   }
 
-  std::uint64_t total_pages_read() const {
+  /// One per-category field summed over every category.
+  std::uint64_t total(std::uint64_t Category::*field) const {
     std::uint64_t t = 0;
-    for (const auto& c : categories) t += c.pages_read;
+    for (const auto& c : categories) t += c.*field;
     return t;
   }
+  std::uint64_t total_pages_read() const {
+    return total(&Category::pages_read);
+  }
   std::uint64_t total_pages_written() const {
-    std::uint64_t t = 0;
-    for (const auto& c : categories) t += c.pages_written;
-    return t;
+    return total(&Category::pages_written);
   }
   std::uint64_t total_pages() const {
     return total_pages_read() + total_pages_written();
   }
   /// Physical bytes as issued against the blobs (compressed under v2).
   std::uint64_t total_bytes_read() const {
-    std::uint64_t t = 0;
-    for (const auto& c : categories) t += c.bytes_read;
-    return t;
+    return total(&Category::bytes_read);
   }
   std::uint64_t total_bytes_written() const {
-    std::uint64_t t = 0;
-    for (const auto& c : categories) t += c.bytes_written;
-    return t;
+    return total(&Category::bytes_written);
   }
   /// Logical (post-decode / pre-encode) bytes, where the consumer reported
   /// them. logical/physical per category is the observed compression ratio.
   std::uint64_t total_logical_bytes_read() const {
-    std::uint64_t t = 0;
-    for (const auto& c : categories) t += c.logical_bytes_read;
-    return t;
+    return total(&Category::logical_bytes_read);
   }
   std::uint64_t total_logical_bytes_written() const {
-    std::uint64_t t = 0;
-    for (const auto& c : categories) t += c.logical_bytes_written;
-    return t;
+    return total(&Category::logical_bytes_written);
   }
 
-  IoStatsSnapshot operator-(const IoStatsSnapshot& rhs) const {
-    IoStatsSnapshot out;
-    for (unsigned i = 0; i < kNumIoCategories; ++i) {
-      out.categories[i].pages_read =
-          categories[i].pages_read - rhs.categories[i].pages_read;
-      out.categories[i].pages_written =
-          categories[i].pages_written - rhs.categories[i].pages_written;
-      out.categories[i].bytes_read =
-          categories[i].bytes_read - rhs.categories[i].bytes_read;
-      out.categories[i].bytes_written =
-          categories[i].bytes_written - rhs.categories[i].bytes_written;
-      out.categories[i].logical_bytes_read =
-          categories[i].logical_bytes_read -
-          rhs.categories[i].logical_bytes_read;
-      out.categories[i].logical_bytes_written =
-          categories[i].logical_bytes_written -
-          rhs.categories[i].logical_bytes_written;
-    }
-    out.cache_hit_pages = cache_hit_pages - rhs.cache_hit_pages;
-    out.cache_miss_pages = cache_miss_pages - rhs.cache_miss_pages;
-    out.cache_evictions = cache_evictions - rhs.cache_evictions;
-    out.cache_bypass_pages = cache_bypass_pages - rhs.cache_bypass_pages;
-    out.cache_bytes_high_water = cache_bytes_high_water;
-    out.io_retry_count = io_retry_count - rhs.io_retry_count;
-    out.io_giveup_count = io_giveup_count - rhs.io_giveup_count;
-    out.submit_batches = submit_batches - rhs.submit_batches;
-    out.sqe_coalesced_ops = sqe_coalesced_ops - rhs.sqe_coalesced_ops;
-    // Gauge: the high-water mark as of this snapshot, not a differenceable
-    // quantity.
-    out.max_inflight_depth = max_inflight_depth;
-    return out;
-  }
+  /// Traffic between two snapshots: counters subtract, gauges keep this
+  /// snapshot's mark.
+  IoStatsSnapshot operator-(const IoStatsSnapshot& rhs) const;
+  /// Traffic of two disjoint spans: counters add, gauges take the max.
+  IoStatsSnapshot& operator+=(const IoStatsSnapshot& rhs);
 };
 
-/// Thread-safe live counters.
+/// The per-category fields, in run-JSON order (`io.by_category`).
+inline constexpr IoField<IoStatsSnapshot::Category> kIoCategoryFields[] = {
+    {"pages_read", &IoStatsSnapshot::Category::pages_read},
+    {"pages_written", &IoStatsSnapshot::Category::pages_written},
+    {"bytes_read", &IoStatsSnapshot::Category::bytes_read},
+    {"bytes_written", &IoStatsSnapshot::Category::bytes_written},
+    {"logical_bytes_read", &IoStatsSnapshot::Category::logical_bytes_read},
+    {"logical_bytes_written",
+     &IoStatsSnapshot::Category::logical_bytes_written},
+};
+
+/// The scalar fields, in run-JSON order (the per-superstep `io` object).
+inline constexpr IoField<IoStatsSnapshot> kIoScalarFields[] = {
+    {"cache_hit_pages", &IoStatsSnapshot::cache_hit_pages},
+    {"cache_miss_pages", &IoStatsSnapshot::cache_miss_pages},
+    {"cache_evictions", &IoStatsSnapshot::cache_evictions},
+    {"cache_bypass_pages", &IoStatsSnapshot::cache_bypass_pages},
+    {"cache_bytes_high_water", &IoStatsSnapshot::cache_bytes_high_water,
+     IoFieldKind::kGauge},
+    {"io_retries", &IoStatsSnapshot::io_retry_count},
+    {"io_giveups", &IoStatsSnapshot::io_giveup_count},
+    {"submit_batches", &IoStatsSnapshot::submit_batches},
+    {"sqe_coalesced_ops", &IoStatsSnapshot::sqe_coalesced_ops},
+    {"max_inflight_depth", &IoStatsSnapshot::max_inflight_depth,
+     IoFieldKind::kGauge},
+};
+
+inline IoStatsSnapshot IoStatsSnapshot::operator-(
+    const IoStatsSnapshot& rhs) const {
+  const auto diff = [](auto& out, const auto& r, const auto& fields) {
+    for (const auto& f : fields) {
+      if (f.kind == IoFieldKind::kCounter) out.*f.member -= r.*f.member;
+    }
+  };
+  IoStatsSnapshot out = *this;
+  for (unsigned i = 0; i < kNumIoCategories; ++i) {
+    diff(out.categories[i], rhs.categories[i], kIoCategoryFields);
+  }
+  diff(out, rhs, kIoScalarFields);
+  return out;
+}
+
+inline IoStatsSnapshot& IoStatsSnapshot::operator+=(
+    const IoStatsSnapshot& rhs) {
+  const auto sum = [](auto& out, const auto& r, const auto& fields) {
+    for (const auto& f : fields) {
+      out.*f.member = f.kind == IoFieldKind::kGauge
+                          ? std::max(out.*f.member, r.*f.member)
+                          : out.*f.member + r.*f.member;
+    }
+  };
+  for (unsigned i = 0; i < kNumIoCategories; ++i) {
+    sum(categories[i], rhs.categories[i], kIoCategoryFields);
+  }
+  sum(*this, rhs, kIoScalarFields);
+  return *this;
+}
+
+/// Thread-safe live counters: one relaxed atomic per listed field.
 ///
 /// Multi-tenant attribution: a Storage has ONE IoStats shared by every query
 /// running over it, so per-query views need a second sink. A thread inside a
@@ -180,6 +222,9 @@ struct IoStatsSnapshot {
 /// thread, so background loads/evictions stay attributed to the query that
 /// issued them. The context-level IoStats keeps the cross-query aggregate.
 class IoStats {
+  using Cat = IoStatsSnapshot::Category;
+  using Snap = IoStatsSnapshot;
+
  public:
   /// Install `sink` as this thread's per-query mirror for the lifetime of
   /// the guard (nullptr = mirror nothing). Nesting restores the previous
@@ -201,140 +246,68 @@ class IoStats {
   static IoStats* current_sink() noexcept { return tls_sink(); }
 
   void record_read(IoCategory c, std::uint64_t pages, std::uint64_t bytes) {
-    record_read_impl(c, pages, bytes);
-    if (IoStats* s = mirror()) s->record_read_impl(c, pages, bytes);
+    add<&Cat::pages_read, &Cat::bytes_read>(c, pages, bytes);
   }
   void record_write(IoCategory c, std::uint64_t pages, std::uint64_t bytes) {
-    record_write_impl(c, pages, bytes);
-    if (IoStats* s = mirror()) s->record_write_impl(c, pages, bytes);
+    add<&Cat::pages_written, &Cat::bytes_written>(c, pages, bytes);
   }
   void record_logical_read(IoCategory c, std::uint64_t bytes) {
-    record_logical_read_impl(c, bytes);
-    if (IoStats* s = mirror()) s->record_logical_read_impl(c, bytes);
+    add<&Cat::logical_bytes_read>(c, bytes);
   }
   void record_logical_write(IoCategory c, std::uint64_t bytes) {
-    record_logical_write_impl(c, bytes);
-    if (IoStats* s = mirror()) s->record_logical_write_impl(c, bytes);
+    add<&Cat::logical_bytes_written>(c, bytes);
   }
   void record_cache_hit(std::uint64_t pages) {
-    cache_hit_pages_.fetch_add(pages, std::memory_order_relaxed);
-    if (IoStats* s = mirror()) {
-      s->cache_hit_pages_.fetch_add(pages, std::memory_order_relaxed);
-    }
+    add<&Snap::cache_hit_pages>(kNoCategory, pages);
   }
   void record_cache_miss(std::uint64_t pages) {
-    cache_miss_pages_.fetch_add(pages, std::memory_order_relaxed);
-    if (IoStats* s = mirror()) {
-      s->cache_miss_pages_.fetch_add(pages, std::memory_order_relaxed);
-    }
+    add<&Snap::cache_miss_pages>(kNoCategory, pages);
   }
   void record_cache_eviction(std::uint64_t pages) {
-    cache_evictions_.fetch_add(pages, std::memory_order_relaxed);
-    if (IoStats* s = mirror()) {
-      s->cache_evictions_.fetch_add(pages, std::memory_order_relaxed);
-    }
+    add<&Snap::cache_evictions>(kNoCategory, pages);
   }
   void record_cache_bypass(std::uint64_t pages) {
-    cache_bypass_pages_.fetch_add(pages, std::memory_order_relaxed);
-    if (IoStats* s = mirror()) {
-      s->cache_bypass_pages_.fetch_add(pages, std::memory_order_relaxed);
-    }
+    add<&Snap::cache_bypass_pages>(kNoCategory, pages);
   }
   void record_cache_high_water(std::uint64_t bytes) {
-    record_max(cache_bytes_high_water_, bytes);
-    if (IoStats* s = mirror()) record_max(s->cache_bytes_high_water_, bytes);
+    add<&Snap::cache_bytes_high_water>(kNoCategory, bytes);
   }
-  void record_io_retry() {
-    io_retry_count_.fetch_add(1, std::memory_order_relaxed);
-    if (IoStats* s = mirror()) {
-      s->io_retry_count_.fetch_add(1, std::memory_order_relaxed);
-    }
-  }
-  void record_io_giveup() {
-    io_giveup_count_.fetch_add(1, std::memory_order_relaxed);
-    if (IoStats* s = mirror()) {
-      s->io_giveup_count_.fetch_add(1, std::memory_order_relaxed);
-    }
-  }
-  void record_submit_batch() {
-    submit_batches_.fetch_add(1, std::memory_order_relaxed);
-    if (IoStats* s = mirror()) {
-      s->submit_batches_.fetch_add(1, std::memory_order_relaxed);
-    }
-  }
+  void record_io_retry() { add<&Snap::io_retry_count>(kNoCategory, 1); }
+  void record_io_giveup() { add<&Snap::io_giveup_count>(kNoCategory, 1); }
+  void record_submit_batch() { add<&Snap::submit_batches>(kNoCategory, 1); }
   void record_sqe_coalesced(std::uint64_t ops) {
-    sqe_coalesced_ops_.fetch_add(ops, std::memory_order_relaxed);
-    if (IoStats* s = mirror()) {
-      s->sqe_coalesced_ops_.fetch_add(ops, std::memory_order_relaxed);
-    }
+    add<&Snap::sqe_coalesced_ops>(kNoCategory, ops);
   }
   void record_inflight_depth(std::uint64_t depth) {
-    record_max(max_inflight_depth_, depth);
-    if (IoStats* s = mirror()) record_max(s->max_inflight_depth_, depth);
+    add<&Snap::max_inflight_depth>(kNoCategory, depth);
   }
+
   IoStatsSnapshot snapshot() const {
     IoStatsSnapshot out;
-    for (unsigned i = 0; i < kNumIoCategories; ++i) {
-      out.categories[i].pages_read =
-          categories_[i].pages_read.load(std::memory_order_relaxed);
-      out.categories[i].pages_written =
-          categories_[i].pages_written.load(std::memory_order_relaxed);
-      out.categories[i].bytes_read =
-          categories_[i].bytes_read.load(std::memory_order_relaxed);
-      out.categories[i].bytes_written =
-          categories_[i].bytes_written.load(std::memory_order_relaxed);
-      out.categories[i].logical_bytes_read =
-          categories_[i].logical_bytes_read.load(std::memory_order_relaxed);
-      out.categories[i].logical_bytes_written =
-          categories_[i].logical_bytes_written.load(std::memory_order_relaxed);
+    for (unsigned c = 0; c < kNumIoCategories; ++c) {
+      for (std::size_t i = 0; i < std::size(kIoCategoryFields); ++i) {
+        out.categories[c].*kIoCategoryFields[i].member =
+            categories_[c][i].load(std::memory_order_relaxed);
+      }
     }
-    out.cache_hit_pages = cache_hit_pages_.load(std::memory_order_relaxed);
-    out.cache_miss_pages = cache_miss_pages_.load(std::memory_order_relaxed);
-    out.cache_evictions = cache_evictions_.load(std::memory_order_relaxed);
-    out.cache_bypass_pages =
-        cache_bypass_pages_.load(std::memory_order_relaxed);
-    out.cache_bytes_high_water =
-        cache_bytes_high_water_.load(std::memory_order_relaxed);
-    out.io_retry_count = io_retry_count_.load(std::memory_order_relaxed);
-    out.io_giveup_count = io_giveup_count_.load(std::memory_order_relaxed);
-    out.submit_batches = submit_batches_.load(std::memory_order_relaxed);
-    out.sqe_coalesced_ops =
-        sqe_coalesced_ops_.load(std::memory_order_relaxed);
-    out.max_inflight_depth =
-        max_inflight_depth_.load(std::memory_order_relaxed);
+    for (std::size_t i = 0; i < std::size(kIoScalarFields); ++i) {
+      out.*kIoScalarFields[i].member =
+          scalars_[i].load(std::memory_order_relaxed);
+    }
     return out;
   }
 
   void reset() {
     for (auto& cat : categories_) {
-      cat.pages_read.store(0, std::memory_order_relaxed);
-      cat.pages_written.store(0, std::memory_order_relaxed);
-      cat.bytes_read.store(0, std::memory_order_relaxed);
-      cat.bytes_written.store(0, std::memory_order_relaxed);
-      cat.logical_bytes_read.store(0, std::memory_order_relaxed);
-      cat.logical_bytes_written.store(0, std::memory_order_relaxed);
+      for (auto& cell : cat) cell.store(0, std::memory_order_relaxed);
     }
-    cache_hit_pages_.store(0, std::memory_order_relaxed);
-    cache_miss_pages_.store(0, std::memory_order_relaxed);
-    cache_evictions_.store(0, std::memory_order_relaxed);
-    cache_bypass_pages_.store(0, std::memory_order_relaxed);
-    cache_bytes_high_water_.store(0, std::memory_order_relaxed);
-    io_retry_count_.store(0, std::memory_order_relaxed);
-    io_giveup_count_.store(0, std::memory_order_relaxed);
-    submit_batches_.store(0, std::memory_order_relaxed);
-    sqe_coalesced_ops_.store(0, std::memory_order_relaxed);
-    max_inflight_depth_.store(0, std::memory_order_relaxed);
+    for (auto& cell : scalars_) cell.store(0, std::memory_order_relaxed);
   }
 
  private:
-  struct Category {
-    std::atomic<std::uint64_t> pages_read{0};
-    std::atomic<std::uint64_t> pages_written{0};
-    std::atomic<std::uint64_t> bytes_read{0};
-    std::atomic<std::uint64_t> bytes_written{0};
-    std::atomic<std::uint64_t> logical_bytes_read{0};
-    std::atomic<std::uint64_t> logical_bytes_written{0};
-  };
+  using Cell = std::atomic<std::uint64_t>;
+  /// The category argument of add() for scalar fields, which ignore it.
+  static constexpr IoCategory kNoCategory = IoCategory::kCount;
 
   static IoStats*& tls_sink() noexcept {
     thread_local IoStats* sink = nullptr;
@@ -347,45 +320,55 @@ class IoStats {
     IoStats* s = tls_sink();
     return s == this ? nullptr : s;
   }
-  static void record_max(std::atomic<std::uint64_t>& gauge,
-                         std::uint64_t value) {
-    std::uint64_t cur = gauge.load(std::memory_order_relaxed);
-    while (value > cur && !gauge.compare_exchange_weak(
-                              cur, value, std::memory_order_relaxed)) {
+
+  /// Position of `member` in `fields` (a compile error when unlisted).
+  template <typename Owner, std::size_t N>
+  static constexpr std::size_t index_of(const IoField<Owner> (&fields)[N],
+                                        std::uint64_t Owner::*member) {
+    for (std::size_t i = 0; i < N; ++i) {
+      if (fields[i].member == member) return i;
     }
-  }
-  void record_read_impl(IoCategory c, std::uint64_t pages,
-                        std::uint64_t bytes) {
-    auto& cat = categories_[static_cast<unsigned>(c)];
-    cat.pages_read.fetch_add(pages, std::memory_order_relaxed);
-    cat.bytes_read.fetch_add(bytes, std::memory_order_relaxed);
-  }
-  void record_write_impl(IoCategory c, std::uint64_t pages,
-                         std::uint64_t bytes) {
-    auto& cat = categories_[static_cast<unsigned>(c)];
-    cat.pages_written.fetch_add(pages, std::memory_order_relaxed);
-    cat.bytes_written.fetch_add(bytes, std::memory_order_relaxed);
-  }
-  void record_logical_read_impl(IoCategory c, std::uint64_t bytes) {
-    categories_[static_cast<unsigned>(c)].logical_bytes_read.fetch_add(
-        bytes, std::memory_order_relaxed);
-  }
-  void record_logical_write_impl(IoCategory c, std::uint64_t bytes) {
-    categories_[static_cast<unsigned>(c)].logical_bytes_written.fetch_add(
-        bytes, std::memory_order_relaxed);
+    throw "field missing from its list";
   }
 
-  std::array<Category, kNumIoCategories> categories_{};
-  std::atomic<std::uint64_t> cache_hit_pages_{0};
-  std::atomic<std::uint64_t> cache_miss_pages_{0};
-  std::atomic<std::uint64_t> cache_evictions_{0};
-  std::atomic<std::uint64_t> cache_bypass_pages_{0};
-  std::atomic<std::uint64_t> cache_bytes_high_water_{0};
-  std::atomic<std::uint64_t> io_retry_count_{0};
-  std::atomic<std::uint64_t> io_giveup_count_{0};
-  std::atomic<std::uint64_t> submit_batches_{0};
-  std::atomic<std::uint64_t> sqe_coalesced_ops_{0};
-  std::atomic<std::uint64_t> max_inflight_depth_{0};
+  /// Counter: add `v`. Gauge: raise the mark to `v`.
+  template <IoFieldKind kind>
+  static void bump(Cell& cell, std::uint64_t v) {
+    if constexpr (kind == IoFieldKind::kGauge) {
+      std::uint64_t cur = cell.load(std::memory_order_relaxed);
+      while (v > cur && !cell.compare_exchange_weak(
+                            cur, v, std::memory_order_relaxed)) {
+      }
+    } else {
+      cell.fetch_add(v, std::memory_order_relaxed);
+    }
+  }
+
+  /// Record `v` into `Field` of `stats` (category `c` for per-category
+  /// fields).
+  template <auto Field>
+  static void update(IoStats& stats, IoCategory c, std::uint64_t v) {
+    if constexpr (std::is_same_v<decltype(Field), std::uint64_t Snap::*>) {
+      constexpr std::size_t i = index_of(kIoScalarFields, Field);
+      bump<kIoScalarFields[i].kind>(stats.scalars_[i], v);
+    } else {
+      constexpr std::size_t i = index_of(kIoCategoryFields, Field);
+      bump<kIoCategoryFields[i].kind>(
+          stats.categories_[static_cast<unsigned>(c)][i], v);
+    }
+  }
+
+  /// Record `v...` into `Fields...` here and in the thread's sink: one TLS
+  /// lookup per call and one relaxed atomic op per field on each side.
+  template <auto... Fields, typename... V>
+  void add(IoCategory c, V... v) {
+    (update<Fields>(*this, c, v), ...);
+    if (IoStats* s = mirror()) (update<Fields>(*s, c, v), ...);
+  }
+
+  std::array<std::array<Cell, std::size(kIoCategoryFields)>, kNumIoCategories>
+      categories_{};
+  std::array<Cell, std::size(kIoScalarFields)> scalars_{};
 };
 
 }  // namespace mlvc::ssd

@@ -10,6 +10,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <limits>
+#include <string>
 
 #include "apps/bfs.hpp"
 #include "apps/pagerank_delta.hpp"
@@ -331,7 +332,7 @@ TEST_F(ScheduledExecution, BspAsyncRunsTheFifoSweep) {
 
 // ---- MLVC_SCHEDULE env override ---------------------------------------------
 
-TEST(ScheduleOptions, EnvOverrideParsesAndIgnoresJunk) {
+TEST(ScheduleOptions, EnvOverrideParsesAndRejectsJunk) {
   ScheduleEnvGuard guard;
   EXPECT_EQ(core::apply_env_overrides(core::EngineOptions{}).schedule_policy,
             SchedulePolicy::kBsp);
@@ -341,13 +342,29 @@ TEST(ScheduleOptions, EnvOverrideParsesAndIgnoresJunk) {
   ::setenv("MLVC_SCHEDULE", "log_bytes", 1);  // underscore spelling
   EXPECT_EQ(core::apply_env_overrides(core::EngineOptions{}).schedule_policy,
             SchedulePolicy::kLogBytes);
-  // Unparsable values leave the configured policy alone (same convention as
-  // MLVC_IO_BACKEND) rather than aborting every entry point.
+  // An unparsable value throws instead of leaving the configured policy in
+  // place, so a CI leg with a typo cannot quietly re-test the default.
   ::setenv("MLVC_SCHEDULE", "zork", 1);
-  core::EngineOptions opts;
-  opts.schedule_policy = SchedulePolicy::kFifo;
-  EXPECT_EQ(core::apply_env_overrides(opts).schedule_policy,
-            SchedulePolicy::kFifo);
+  EXPECT_THROW(core::apply_env_overrides(core::EngineOptions{}),
+               InvalidArgument);
+  ::unsetenv("MLVC_SCHEDULE");
+  // The other enum overrides follow the same policy. Each keeps the value a
+  // CI leg may have set for the rest of the suite.
+  for (const char* var :
+       {"MLVC_DIRECTION", "MLVC_FORMAT", "MLVC_IO_BACKEND"}) {
+    const char* prev = std::getenv(var);
+    const std::string saved = prev != nullptr ? prev : "";
+    const bool had = prev != nullptr;
+    ::setenv(var, "zork", 1);
+    EXPECT_THROW(core::apply_env_overrides(core::EngineOptions{}),
+                 InvalidArgument)
+        << var;
+    if (had) {
+      ::setenv(var, saved.c_str(), 1);
+    } else {
+      ::unsetenv(var);
+    }
+  }
 }
 
 TEST(ScheduleOptions, PolicyStringsRoundTrip) {

@@ -695,7 +695,7 @@ std::vector<typename App::Value> run_fmt(const graph::CsrGraph& csr, App app,
   auto opts = testing_options();
   opts.max_supersteps = max_steps;
   opts.on_disk_format = format;
-  opts.enable_pipeline = pipeline;
+  opts.io_threads = pipeline ? 4 : 0;
   opts.scatter_staging_records = staging;
   graph::StoredCsrGraph stored(env.storage, "g", csr,
                                core::partition_for_app<App>(csr, opts),

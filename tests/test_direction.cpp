@@ -83,7 +83,7 @@ void direction_matrix(const graph::CsrGraph& csr, App app,
            {SchedulePolicy::kBsp, SchedulePolicy::kFifo,
             SchedulePolicy::kHubDegree}) {
         auto opts = base;
-        opts.enable_pipeline = pipeline;
+        opts.io_threads = pipeline ? 4 : 0;
         opts.schedule_policy = sched;
         opts.direction = DirectionMode::kPush;
         const auto push = run(csr, app, opts, devices);

@@ -133,7 +133,7 @@ TEST(EngineEquivalence, MisValidAndIdentical) {
 // ---- pipelined vs serial matrix -------------------------------------------
 //
 // The pipeline must be a pure scheduling change: for every app, running with
-// enable_pipeline (io_threads 1 and 4) must produce the same vertex values
+// the pipeline on (io_threads 1 and 4) must produce the same vertex values
 // as the serial path. Integer-valued apps compare bit-exact. PageRank
 // combines floats whose per-destination order is unspecified even in serial
 // mode (sort_records leaves equal-dst order open), so it compares within a
@@ -142,11 +142,10 @@ TEST(EngineEquivalence, MisValidAndIdentical) {
 template <core::VertexApp App, typename Cmp>
 void pipeline_matrix(const graph::CsrGraph& csr, App app,
                      core::EngineOptions base, Cmp&& compare) {
-  base.enable_pipeline = false;
+  base.io_threads = 0;
   const auto serial = run_mlvc(csr, app, base);
   for (unsigned io_threads : {1u, 4u}) {
     auto opts = base;
-    opts.enable_pipeline = true;
     opts.io_threads = io_threads;
     const auto piped = run_mlvc(csr, app, opts);
     ASSERT_EQ(serial.size(), piped.size());
@@ -220,7 +219,7 @@ void backend_matrix(const graph::CsrGraph& csr, App app,
   }
   for (bool pipeline : {false, true}) {
     auto tp = base;
-    tp.enable_pipeline = pipeline;
+    tp.io_threads = pipeline ? 4 : 0;
     tp.io_backend = ssd::IoBackendKind::kThreadPool;
     const auto a = run_mlvc(csr, app, tp);
     auto ur = tp;

@@ -443,7 +443,7 @@ TEST(FaultEngine, GiveupMidWaveUnwindsThePipeline) {
       ssd::Storage storage(dir.path(), device);
       auto opts = testing_options();
       opts.memory_budget_bytes = 256_KiB;  // several chains per wave
-      opts.enable_pipeline = true;
+      opts.io_threads = 4;  // pipelined
       opts.io_retry_attempts = 1;  // the first injected fault gives up
       opts.direction = direction;
       graph::StoredCsrGraph stored(

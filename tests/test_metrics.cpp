@@ -2,6 +2,7 @@
 // math, and JSON export.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <string>
@@ -198,7 +199,8 @@ TEST(JsonExport, WellFormedAndComplete) {
                 "superstep", "active_vertices", "messages_consumed",
                 "messages_produced", "edges_activated",
                 "modeled_storage_seconds", "compute_wall_seconds",
-                "sort_group_seconds", "groups_scatter", "groups_comparison",
+                "sort_group_seconds", "offthread_sort_seconds",
+                "groups_scatter", "groups_comparison",
                 "scatter_flush_count", "scatter_stall_seconds",
                 "log_records_folded", "fold_seconds", "io_wall_seconds",
                 "total_wall_seconds", "torn_bytes_dropped",
@@ -213,6 +215,78 @@ TEST(JsonExport, WellFormedAndComplete) {
                 "cache_bytes_high_water", "io_retries", "io_giveups",
                 "submit_batches", "sqe_coalesced_ops", "max_inflight_depth",
                 "by_category"}));
+}
+
+TEST(RunStats, TotalsCombineEveryField) {
+  // Two supersteps with a distinct value in every listed field (and in one
+  // io counter and one io gauge).
+  using Combine = core::SuperstepStats::Combine;
+  core::RunStats stats;
+  stats.supersteps.resize(2);
+  auto& a = stats.supersteps[0];
+  auto& b = stats.supersteps[1];
+  int next = 1;
+  core::SuperstepStats::for_each_field(
+      [&](std::string_view, Combine, auto& x, auto& y) {
+        x = next++;
+        y = 100 * next++;
+      },
+      a, b);
+  a.io[ssd::IoCategory::kMessageLog].pages_read = 3;
+  b.io[ssd::IoCategory::kMessageLog].pages_read = 4;
+  a.io.max_inflight_depth = 9;
+  b.io.max_inflight_depth = 2;
+
+  // totals() adds every field except schedule_reorder_depth, its one max.
+  const core::SuperstepStats t = stats.totals();
+  std::size_t fields = 0;
+  core::SuperstepStats::for_each_field(
+      [&](std::string_view key, Combine how, const auto& total,
+          const auto& x, const auto& y) {
+        ++fields;
+        EXPECT_EQ(how == Combine::kMax, key == "schedule_reorder_depth")
+            << key;
+        EXPECT_EQ(total, how == Combine::kMax ? std::max(x, y) : x + y)
+            << key;
+      },
+      t, a, b);
+  EXPECT_EQ(fields, 26u);
+  EXPECT_EQ(t.schedule_reorder_depth, b.schedule_reorder_depth);
+  EXPECT_EQ(t.io[ssd::IoCategory::kMessageLog].pages_read, 7u);
+  EXPECT_EQ(t.io.max_inflight_depth, 9u);
+
+  // Every named view reads its totals() field.
+  EXPECT_EQ(stats.total_pages_read(), t.io.total_pages_read());
+  EXPECT_EQ(stats.total_pages_written(), t.io.total_pages_written());
+  EXPECT_EQ(stats.total_pages(), t.io.total_pages());
+  EXPECT_EQ(stats.modeled_storage_seconds(), t.modeled_storage_seconds);
+  EXPECT_EQ(stats.compute_seconds(), t.compute_wall_seconds);
+  EXPECT_EQ(stats.sort_group_seconds(), t.sort_group_seconds);
+  EXPECT_EQ(stats.groups_scatter(), t.groups_scatter);
+  EXPECT_EQ(stats.groups_comparison(), t.groups_comparison);
+  EXPECT_EQ(stats.scatter_flush_count(), t.scatter_flush_count);
+  EXPECT_EQ(stats.scatter_stall_seconds(), t.scatter_stall_seconds);
+  EXPECT_EQ(stats.log_records_folded(), t.log_records_folded);
+  EXPECT_EQ(stats.fold_seconds(), t.fold_seconds);
+  EXPECT_EQ(stats.io_wait_seconds(), t.io_wall_seconds);
+  EXPECT_EQ(stats.total_wall_seconds(), t.total_wall_seconds);
+  EXPECT_EQ(stats.modeled_total_seconds(),
+            a.modeled_total_seconds() + b.modeled_total_seconds());
+  EXPECT_EQ(stats.offthread_sort_seconds(), t.offthread_sort_seconds);
+  EXPECT_EQ(stats.modeled_work_seconds(),
+            a.modeled_work_seconds() + b.modeled_work_seconds());
+  EXPECT_EQ(stats.total_messages(), t.messages_produced);
+  EXPECT_EQ(stats.torn_bytes_dropped(), t.torn_bytes_dropped);
+  EXPECT_EQ(stats.effective_rounds(), 2u);
+  EXPECT_EQ(stats.intervals_scheduled(), t.intervals_scheduled);
+  EXPECT_EQ(stats.schedule_reorder_depth(), t.schedule_reorder_depth);
+  EXPECT_EQ(stats.ready_latency_seconds(), t.ready_latency_seconds);
+  EXPECT_EQ(stats.intervals_pulled(), t.intervals_pulled);
+  EXPECT_EQ(stats.log_bytes_avoided(), t.log_bytes_avoided);
+  EXPECT_EQ(stats.io_retries(), t.io.io_retry_count);
+  EXPECT_EQ(stats.io_giveups(), t.io.io_giveup_count);
+  EXPECT_EQ(stats.category_bytes(ssd::IoCategory::kMessageLog).pages_read,
+            7u);
 }
 
 TEST(JsonExport, EscapesStrings) {

@@ -1096,21 +1096,6 @@ TEST(Predictor, DepthZeroNeverPredicts) {
   EXPECT_FALSE(pred.predict_active(0));
 }
 
-TEST(Predictor, ScoreComputesRecall) {
-  HistoryPredictor pred(10, 1);
-  DynamicBitset prev(10);
-  prev.set(1);
-  prev.set(2);
-  pred.observe(prev);
-  DynamicBitset actual(10);
-  actual.set(2);
-  actual.set(3);
-  const auto acc = pred.score(actual);
-  EXPECT_EQ(acc.active, 2u);
-  EXPECT_EQ(acc.predicted_and_active, 1u);
-  EXPECT_DOUBLE_EQ(acc.recall(), 0.5);
-}
-
 // ---- PageUtilTracker -------------------------------------------------------
 
 TEST(PageUtil, ClassifiesInefficientPages) {

@@ -241,7 +241,7 @@ void path_matrix(const graph::CsrGraph& csr, App app, Cmp&& compare) {
     for (const bool combine : {true, false}) {
       auto base = testing_options();
       base.max_supersteps = 30;
-      base.enable_pipeline = pipeline;
+      base.io_threads = pipeline ? 4 : 0;
       base.enable_combine = combine;
 
       base.sort_group_path = SortGroupPath::kComparisonSort;

@@ -2,7 +2,11 @@
 // model (channels, sequential discount), the page cache, and async I/O.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
+#include <iterator>
+#include <map>
+#include <string_view>
 
 #include "common/rng.hpp"
 #include "ssd/async_io.hpp"
@@ -231,6 +235,104 @@ TEST(IoStats, SnapshotDiff) {
   EXPECT_EQ(diff[ssd::IoCategory::kShard].pages_read, 3u);
   EXPECT_EQ(diff[ssd::IoCategory::kMessageLog].pages_written, 2u);
   EXPECT_EQ(diff.total_pages(), 5u);
+
+  // Every list entry: each record_* call lands in its listed field, diffs
+  // subtract counters and carry gauges, += adds counters and takes the max
+  // of gauges, and reset() zeroes everything.
+  using ssd::IoCategory;
+  using ssd::IoFieldKind;
+  stats.reset();
+  stats.record_read(IoCategory::kShard, 1, 2);
+  stats.record_write(IoCategory::kShard, 3, 4);
+  stats.record_logical_read(IoCategory::kShard, 5);
+  stats.record_logical_write(IoCategory::kShard, 6);
+  stats.record_cache_hit(7);
+  stats.record_cache_miss(8);
+  stats.record_cache_eviction(9);
+  stats.record_cache_bypass(10);
+  stats.record_cache_high_water(11);
+  for (int i = 0; i < 2; ++i) stats.record_io_retry();
+  for (int i = 0; i < 3; ++i) stats.record_io_giveup();
+  for (int i = 0; i < 4; ++i) stats.record_submit_batch();
+  stats.record_sqe_coalesced(12);
+  stats.record_inflight_depth(13);
+
+  const std::map<std::string_view, std::uint64_t> want_category = {
+      {"pages_read", 1},         {"pages_written", 3},
+      {"bytes_read", 2},         {"bytes_written", 4},
+      {"logical_bytes_read", 5}, {"logical_bytes_written", 6}};
+  const std::map<std::string_view, std::uint64_t> want_scalar = {
+      {"cache_hit_pages", 7},        {"cache_miss_pages", 8},
+      {"cache_evictions", 9},        {"cache_bypass_pages", 10},
+      {"cache_bytes_high_water", 11}, {"io_retries", 2},
+      {"io_giveups", 3},             {"submit_batches", 4},
+      {"sqe_coalesced_ops", 12},     {"max_inflight_depth", 13}};
+  ASSERT_EQ(want_category.size(), std::size(ssd::kIoCategoryFields));
+  ASSERT_EQ(want_scalar.size(), std::size(ssd::kIoScalarFields));
+  const auto first = stats.snapshot();
+  for (unsigned c = 0; c < ssd::kNumIoCategories; ++c) {
+    const bool shard = c == static_cast<unsigned>(IoCategory::kShard);
+    for (const auto& f : ssd::kIoCategoryFields) {
+      EXPECT_EQ(first.categories[c].*f.member,
+                shard ? want_category.at(f.key) : 0u)
+          << f.key;
+    }
+  }
+  for (const auto& f : ssd::kIoScalarFields) {
+    EXPECT_EQ(first.*f.member, want_scalar.at(f.key)) << f.key;
+  }
+  EXPECT_EQ(first.io_retry_count, 2u);
+  EXPECT_EQ(first.max_inflight_depth, 13u);
+
+  // A diff subtracts counters; both gauges carry their current mark.
+  stats.record_cache_hit(1);
+  stats.record_cache_high_water(5);   // below the mark: unchanged
+  stats.record_inflight_depth(20);    // raises the mark
+  const auto second = stats.snapshot();
+  const auto delta = second - first;
+  for (const auto& f : ssd::kIoScalarFields) {
+    const bool gauge = f.kind == IoFieldKind::kGauge;
+    EXPECT_EQ(delta.*f.member,
+              gauge ? second.*f.member : second.*f.member - first.*f.member)
+        << f.key;
+  }
+  EXPECT_EQ(delta.cache_hit_pages, 1u);
+  EXPECT_EQ(delta.cache_bytes_high_water, 11u);
+  EXPECT_EQ(delta.max_inflight_depth, 20u);
+  EXPECT_EQ(delta.total_pages(), 0u);
+
+  // += adds counters and takes the max of gauges, whichever side holds it.
+  ssd::IoStatsSnapshot lhs, rhs;
+  std::uint64_t i = 0;
+  for (const auto& f : ssd::kIoScalarFields) {
+    lhs.*f.member = 10 * (i + 1);
+    rhs.*f.member = i % 2 == 0 ? 1000 : 1;
+    ++i;
+  }
+  lhs[IoCategory::kMisc].bytes_read = 6;
+  rhs[IoCategory::kMisc].bytes_read = 7;
+  auto sum = lhs;
+  sum += rhs;
+  for (const auto& f : ssd::kIoScalarFields) {
+    const bool gauge = f.kind == IoFieldKind::kGauge;
+    EXPECT_EQ(sum.*f.member, gauge ? std::max(lhs.*f.member, rhs.*f.member)
+                                   : lhs.*f.member + rhs.*f.member)
+        << f.key;
+  }
+  EXPECT_EQ(sum.cache_bytes_high_water, 1000u);  // rhs holds the max
+  EXPECT_EQ(sum.max_inflight_depth, 100u);       // lhs holds the max
+  EXPECT_EQ(sum[IoCategory::kMisc].bytes_read, 13u);
+
+  stats.reset();
+  const auto zero = stats.snapshot();
+  for (const auto& cat : zero.categories) {
+    for (const auto& f : ssd::kIoCategoryFields) {
+      EXPECT_EQ(cat.*f.member, 0u) << f.key;
+    }
+  }
+  for (const auto& f : ssd::kIoScalarFields) {
+    EXPECT_EQ(zero.*f.member, 0u) << f.key;
+  }
 }
 
 // ---- PageCache -------------------------------------------------------------

@@ -396,7 +396,7 @@ std::vector<typename App::Value> run_striped(const graph::CsrGraph& csr,
   ssd::Storage storage(dir.path(), striped_config(devices, 16_KiB));
   auto opts = testing_options();
   opts.max_supersteps = 60;
-  opts.enable_pipeline = pipeline;
+  opts.io_threads = pipeline ? 4 : 0;
   auto intervals = core::partition_for_app<App>(csr, opts);
   graph::StoredCsrGraph stored(storage, "g", csr, intervals);
   core::MultiLogVCEngine<App> engine(stored, app, opts);
