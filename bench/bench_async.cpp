@@ -16,22 +16,16 @@
 //
 //   bench_async [out.json]
 //
-// Environment:
-//   MLVC_BENCH_ASYNC_SCALE_SMALL  R-MAT scale, reported only (default 13)
-//   MLVC_BENCH_ASYNC_SCALE_LARGE  R-MAT scale, enforced config (default 15)
-//   MLVC_BENCH_ASYNC_EDGE_FACTOR  edges per vertex (default 8)
-//   MLVC_BENCH_ASYNC_REPS         timing repetitions (default 2; round
-//                         counts are deterministic, time gates use the
-//                         minimum across repetitions)
-//   MLVC_BENCH_ASYNC_MIN_ROUNDS_RATIO / MLVC_BENCH_ASYNC_MIN_RATIO  gates
+// Environment: the MLVC_BENCH_ASYNC_* rows of common/env.hpp. Round counts
+// are deterministic; time gates use the minimum across repetitions.
 #include <algorithm>
-#include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <string>
 #include <vector>
 
 #include "apps/pagerank_delta.hpp"
+#include "common/env.hpp"
 #include "core/engine.hpp"
 #include "graph/generators.hpp"
 #include "ssd/storage.hpp"
@@ -45,11 +39,6 @@ struct RunResult {
   double modeled_total_seconds = 0;
   double wall_seconds = 0;
 };
-
-double env_double(const char* name, double def) {
-  const char* v = std::getenv(name);
-  return v != nullptr ? std::atof(v) : def;
-}
 
 core::EngineOptions bench_options(SchedulePolicy policy) {
   core::EngineOptions opts;
@@ -101,12 +90,13 @@ struct PolicyLabel {
 
 int run(const std::string& out_path) {
   const unsigned scale_small =
-      static_cast<unsigned>(env_double("MLVC_BENCH_ASYNC_SCALE_SMALL", 13));
+      env::get_unsigned(env::kBenchAsyncScaleSmall).value_or(13);
   const unsigned scale_large =
-      static_cast<unsigned>(env_double("MLVC_BENCH_ASYNC_SCALE_LARGE", 15));
-  const double edge_factor = env_double("MLVC_BENCH_ASYNC_EDGE_FACTOR", 8);
-  const int reps = std::max(
-      1, static_cast<int>(env_double("MLVC_BENCH_ASYNC_REPS", 2)));
+      env::get_unsigned(env::kBenchAsyncScaleLarge).value_or(15);
+  const double edge_factor =
+      env::get_double(env::kBenchAsyncEdgeFactor).value_or(8);
+  const int reps = static_cast<int>(
+      env::get_unsigned(env::kBenchAsyncReps).value_or(2));
 
   const PolicyLabel kPolicies[] = {
       {SchedulePolicy::kFifo, "fifo"},
@@ -199,8 +189,9 @@ int run(const std::string& out_path) {
   std::cout << "wrote " << out_path << "\n";
 
   const double min_rounds_ratio =
-      env_double("MLVC_BENCH_ASYNC_MIN_ROUNDS_RATIO", 1.01);
-  const double min_ratio = env_double("MLVC_BENCH_ASYNC_MIN_RATIO", 1.0);
+      env::get_double(env::kBenchAsyncMinRoundsRatio).value_or(1.01);
+  const double min_ratio =
+      env::get_double(env::kBenchAsyncMinRatio).value_or(1.0);
   int rc = 0;
   if (gate_rounds_ratio < min_rounds_ratio) {
     std::cerr << "FAIL: async hub-degree effective-rounds ratio "

@@ -12,21 +12,17 @@
 //
 //   bench_compress [out.json]
 //
-// Environment:
-//   MLVC_BENCH_COMPRESS_SCALE     R-MAT scale (default 13)
-//   MLVC_BENCH_COMPRESS_EDGE_FACTOR  edges per vertex (default 8)
-//   MLVC_BENCH_COMPRESS_MAX_SLOWDOWN  modeled-time gate (default 1.10)
-//   MLVC_BENCH_COMPRESS_REPS      timing repetitions per format (default 3;
-//                         byte metrics are deterministic, time gates use the
-//                         minimum across repetitions to shed scheduler noise)
+// Environment: the MLVC_BENCH_COMPRESS_* rows of common/env.hpp. Byte
+// metrics are deterministic; time gates use the minimum across repetitions
+// to shed scheduler noise.
 #include <algorithm>
-#include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <string>
 #include <vector>
 
 #include "apps/bfs.hpp"
+#include "common/env.hpp"
 #include "core/engine.hpp"
 #include "graph/generators.hpp"
 #include "ssd/storage.hpp"
@@ -41,11 +37,6 @@ struct FormatResult {
   double modeled_total_seconds = 0;
   double wall_seconds = 0;
 };
-
-double env_double(const char* name, double def) {
-  const char* v = std::getenv(name);
-  return v != nullptr ? std::atof(v) : def;
-}
 
 FormatResult run_format(const graph::CsrGraph& csr, OnDiskFormat format) {
   ssd::TempDir dir("mlvc_bench_compress");
@@ -93,17 +84,17 @@ FormatResult run_format(const graph::CsrGraph& csr, OnDiskFormat format) {
 
 int run(const std::string& out_path) {
   graph::RmatParams params;
-  params.scale =
-      static_cast<unsigned>(env_double("MLVC_BENCH_COMPRESS_SCALE", 13));
-  params.edge_factor = env_double("MLVC_BENCH_COMPRESS_EDGE_FACTOR", 8);
+  params.scale = env::get_unsigned(env::kBenchCompressScale).value_or(13);
+  params.edge_factor =
+      env::get_double(env::kBenchCompressEdgeFactor).value_or(8);
   params.seed = 7;
   const auto csr =
       graph::CsrGraph::from_edge_list(graph::generate_rmat(params));
   std::cout << "R-MAT scale " << params.scale << ": " << csr.num_vertices()
             << " vertices, " << csr.num_edges() << " edges\n";
 
-  const int reps =
-      std::max(1, static_cast<int>(env_double("MLVC_BENCH_COMPRESS_REPS", 3)));
+  const int reps = static_cast<int>(
+      env::get_unsigned(env::kBenchCompressReps).value_or(3));
   const auto best_of = [&](OnDiskFormat format) {
     FormatResult best = run_format(csr, format);
     for (int rep = 1; rep < reps; ++rep) {
@@ -160,7 +151,7 @@ int run(const std::string& out_path) {
   std::cout << "wrote " << out_path << "\n";
 
   const double max_slowdown =
-      env_double("MLVC_BENCH_COMPRESS_MAX_SLOWDOWN", 1.10);
+      env::get_double(env::kBenchCompressMaxSlowdown).value_or(1.10);
   if (v2.modeled_total_seconds > v1.modeled_total_seconds * max_slowdown) {
     std::cerr << "FAIL: v2 modeled time " << v2.modeled_total_seconds
               << "s exceeds " << max_slowdown << "x the v1 time "

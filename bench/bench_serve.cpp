@@ -10,9 +10,7 @@
 //
 //   bench_serve [out.json]
 //
-// Environment:
-//   MLVC_BENCH_SERVE_QUERIES      queries per concurrency level (default 96)
-//   MLVC_BENCH_SERVE_CONCURRENCY  comma list of levels (default 1,8,32,64)
+// Environment: the MLVC_BENCH_SERVE_* rows of common/env.hpp.
 #include <algorithm>
 #include <atomic>
 #include <chrono>
@@ -27,6 +25,7 @@
 
 #include "apps/bfs.hpp"
 #include "apps/wcc.hpp"
+#include "common/env.hpp"
 #include "core/engine.hpp"
 #include "core/runtime_context.hpp"
 #include "graph/generators.hpp"
@@ -160,12 +159,21 @@ std::vector<QuerySpec> make_specs(std::size_t count, VertexId n_vertices) {
   return specs;
 }
 
-std::vector<std::size_t> parse_levels(const char* env) {
+/// MLVC_BENCH_SERVE_CONCURRENCY as a list of levels; a token that is not an
+/// integer >= 1 is the table's error.
+std::vector<std::size_t> concurrency_levels() {
+  const std::string text =
+      env::get_string(env::kBenchServeConcurrency).value_or("1,8,32,64");
   std::vector<std::size_t> levels;
-  std::stringstream ss(env != nullptr ? env : "1,8,32,64");
+  std::stringstream ss(text);
   std::string tok;
   while (std::getline(ss, tok, ',')) {
-    if (!tok.empty()) levels.push_back(std::stoul(tok));
+    if (tok.empty()) continue;
+    if (tok.find_first_not_of("0123456789") != std::string::npos ||
+        tok.size() > 9 || std::stoul(tok) == 0) {
+      env::reject(env::kBenchServeConcurrency, text);
+    }
+    levels.push_back(std::stoul(tok));
   }
   return levels;
 }
@@ -177,10 +185,9 @@ int run(const std::string& out_path) {
   params.seed = 99;
   const auto csr = graph::CsrGraph::from_edge_list(graph::generate_rmat(params));
 
-  const char* q_env = std::getenv("MLVC_BENCH_SERVE_QUERIES");
   const std::size_t n_queries =
-      q_env != nullptr ? std::stoul(q_env) : std::size_t{96};
-  const auto levels = parse_levels(std::getenv("MLVC_BENCH_SERVE_CONCURRENCY"));
+      env::get_unsigned<std::size_t>(env::kBenchServeQueries).value_or(96);
+  const auto levels = concurrency_levels();
   const auto specs = make_specs(n_queries, csr.num_vertices());
 
   core::RuntimeContextOptions ctx_opts;

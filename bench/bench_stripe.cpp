@@ -16,17 +16,14 @@
 //
 //   bench_stripe [out.json]
 //
-// Environment:
-//   MLVC_BENCH_STRIPE_SCALE        R-MAT scale (default 12)
-//   MLVC_BENCH_STRIPE_EDGE_FACTOR  edges per vertex (default 8)
-//   MLVC_BENCH_STRIPE_MIN_SPEEDUP  4-device log-load bandwidth gate (1.6)
-#include <cstdlib>
+// Environment: the MLVC_BENCH_STRIPE_* rows of common/env.hpp.
 #include <fstream>
 #include <iostream>
 #include <string>
 #include <vector>
 
 #include "apps/pagerank.hpp"
+#include "common/env.hpp"
 #include "core/engine.hpp"
 #include "graph/generators.hpp"
 #include "ssd/storage.hpp"
@@ -38,11 +35,6 @@ struct RunResult {
   double modeled_seconds = 0;
   double wall_seconds = 0;
 };
-
-double env_double(const char* name, double def) {
-  const char* v = std::getenv(name);
-  return v != nullptr ? std::atof(v) : def;
-}
 
 template <typename App>
 RunResult run_one(const graph::CsrGraph& csr, unsigned devices,
@@ -98,13 +90,13 @@ double modeled_log_load_seconds(unsigned devices) {
 int run(const std::string& out_path) {
   // The bench pins its own layout; a CI matrix leg exporting MLVC_DEVICES
   // must not skew the sweep's single-device baseline.
-  ::unsetenv("MLVC_DEVICES");
-  ::unsetenv("MLVC_STRIPE_UNIT");
+  env::set(env::kDevices, nullptr);
+  env::set(env::kStripeUnit, nullptr);
 
   graph::RmatParams params;
-  params.scale =
-      static_cast<unsigned>(env_double("MLVC_BENCH_STRIPE_SCALE", 12));
-  params.edge_factor = env_double("MLVC_BENCH_STRIPE_EDGE_FACTOR", 8);
+  params.scale = env::get_unsigned(env::kBenchStripeScale).value_or(12);
+  params.edge_factor =
+      env::get_double(env::kBenchStripeEdgeFactor).value_or(8);
   params.seed = 7;
   const auto csr =
       graph::CsrGraph::from_edge_list(graph::generate_rmat(params));
@@ -160,7 +152,8 @@ int run(const std::string& out_path) {
   std::cout << "wrote " << out_path << "\n";
 
   int rc = 0;
-  const double min_speedup = env_double("MLVC_BENCH_STRIPE_MIN_SPEEDUP", 1.6);
+  const double min_speedup =
+      env::get_double(env::kBenchStripeMinSpeedup).value_or(1.6);
   const double speedup = ll4 > 0 ? ll1 / ll4 : 0;
   if (speedup < min_speedup) {
     std::cerr << "FAIL: 4-device modeled log-load bandwidth speedup "

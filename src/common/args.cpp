@@ -1,6 +1,7 @@
 #include "common/args.hpp"
 
 #include <algorithm>
+#include <cctype>
 #include <sstream>
 
 namespace mlvc {
@@ -114,24 +115,29 @@ std::string ArgParser::usage() const {
 }
 
 std::uint64_t parse_bytes(const std::string& text) {
-  if (text.empty()) throw InvalidArgument("empty byte size");
+  const auto bad = [&] {
+    return InvalidArgument("bad byte size '" + text +
+                           "' (digits, then an optional K/M/G)");
+  };
+  // stoull alone would also take a sign, leading blanks or trailing junk.
+  if (text.empty() || !std::isdigit(static_cast<unsigned char>(text[0]))) {
+    throw bad();
+  }
   std::size_t idx = 0;
   std::uint64_t value = 0;
   try {
     value = std::stoull(text, &idx);
   } catch (const std::exception&) {
-    throw InvalidArgument("bad byte size '" + text + "'");
+    throw bad();
   }
   if (idx == text.size()) return value;
   const char suffix = static_cast<char>(std::toupper(text[idx]));
-  switch (suffix) {
-    case 'K': return value << 10;
-    case 'M': return value << 20;
-    case 'G': return value << 30;
-    default:
-      throw InvalidArgument("bad byte-size suffix in '" + text +
-                            "' (use K/M/G)");
+  const unsigned shift =
+      suffix == 'K' ? 10 : suffix == 'M' ? 20 : suffix == 'G' ? 30 : 0;
+  if (shift == 0 || idx + 1 != text.size() || value >> (64 - shift) != 0) {
+    throw bad();
   }
+  return value << shift;
 }
 
 }  // namespace mlvc

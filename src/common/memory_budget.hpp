@@ -10,7 +10,6 @@
 // memory:graph ratio (see DESIGN.md §2).
 #pragma once
 
-#include <atomic>
 #include <condition_variable>
 #include <cstddef>
 #include <mutex>
@@ -27,87 +26,6 @@ struct BudgetSplit {
   double log_buffer_fraction = 0.05;  // A%
   double edge_log_fraction = 0.05;    // B%
   // Remainder goes to the graph loader + misc.
-};
-
-/// Tracks charges against a fixed budget. Thread-safe. Over-subscription
-/// throws BudgetError — the engines size their buffers up front, so hitting
-/// this at runtime is a logic error worth failing loudly on.
-class MemoryBudget {
- public:
-  MemoryBudget(std::string name, std::size_t total_bytes)
-      : name_(std::move(name)), total_(total_bytes), used_(0) {}
-
-  std::size_t total() const noexcept { return total_; }
-  std::size_t used() const noexcept {
-    return used_.load(std::memory_order_relaxed);
-  }
-  std::size_t available() const noexcept {
-    const std::size_t u = used();
-    return u >= total_ ? 0 : total_ - u;
-  }
-
-  void charge(std::size_t bytes) {
-    const std::size_t prev = used_.fetch_add(bytes, std::memory_order_relaxed);
-    if (prev + bytes > total_) {
-      used_.fetch_sub(bytes, std::memory_order_relaxed);
-      throw BudgetError("memory budget '" + name_ + "' exhausted: need " +
-                        std::to_string(bytes) + " bytes, " +
-                        std::to_string(total_ - std::min(total_, prev)) +
-                        " available of " + std::to_string(total_));
-    }
-  }
-
-  void release(std::size_t bytes) noexcept {
-    used_.fetch_sub(bytes, std::memory_order_relaxed);
-  }
-
- private:
-  std::string name_;
-  std::size_t total_;
-  std::atomic<std::size_t> used_;
-};
-
-/// RAII charge against a budget.
-class BudgetCharge {
- public:
-  BudgetCharge() = default;
-  BudgetCharge(MemoryBudget& budget, std::size_t bytes)
-      : budget_(&budget), bytes_(bytes) {
-    budget_->charge(bytes_);
-  }
-  ~BudgetCharge() { reset(); }
-
-  BudgetCharge(BudgetCharge&& other) noexcept
-      : budget_(other.budget_), bytes_(other.bytes_) {
-    other.budget_ = nullptr;
-    other.bytes_ = 0;
-  }
-  BudgetCharge& operator=(BudgetCharge&& other) noexcept {
-    if (this != &other) {
-      reset();
-      budget_ = other.budget_;
-      bytes_ = other.bytes_;
-      other.budget_ = nullptr;
-      other.bytes_ = 0;
-    }
-    return *this;
-  }
-  BudgetCharge(const BudgetCharge&) = delete;
-  BudgetCharge& operator=(const BudgetCharge&) = delete;
-
-  void reset() noexcept {
-    if (budget_ != nullptr) {
-      budget_->release(bytes_);
-      budget_ = nullptr;
-      bytes_ = 0;
-    }
-  }
-
-  std::size_t bytes() const noexcept { return bytes_; }
-
- private:
-  MemoryBudget* budget_ = nullptr;
-  std::size_t bytes_ = 0;
 };
 
 class BudgetArbiter;
@@ -150,10 +68,9 @@ class BudgetLease {
   std::size_t bytes_ = 0;
 };
 
-/// Process-level memory arbitration for multi-tenant serving. Unlike
-/// MemoryBudget (whose charge() throws — over-subscription within one engine
-/// is a logic error), the arbiter *blocks*: a query whose budget does not
-/// currently fit parks in acquire() until enough leases are released. This
+/// Process-level memory arbitration for multi-tenant serving. The arbiter
+/// *blocks*: a query whose budget does not currently fit parks in acquire()
+/// until enough leases are released. This
 /// is the admission-control half of the Figure 4 budget when many queries
 /// share one host: each engine leases its whole per-query budget up front,
 /// so the sum of running queries' budgets never exceeds the pool.

@@ -29,7 +29,7 @@
 // one prefetch rule: chain k+1's load/decode/sort (or pull fold) runs on
 // ssd::AsyncIo threads while chain k computes, and within an interval the
 // next active-vertex batches' adjacency/value loads run up to
-// options.prefetch_depth ahead of the batch being computed. A chain's inputs
+// kBatchPrefetchDepth (2) ahead of the batch being computed. A chain's inputs
 // are fixed at wave start (current log generation, sticky set, captured
 // broadcasts) and sends write only the produce side, so every chain of the
 // sweep may load early. Redelivery reads same-wave sends and stays serial.
@@ -580,6 +580,10 @@ class MultiLogVCEngine {
  private:
   friend class Context;
 
+  /// Active-vertex batches the graph loader may run ahead of the one being
+  /// computed (1 would be classic double buffering).
+  static constexpr unsigned kBatchPrefetchDepth = 2;
+
   /// Common constructor. ctx == nullptr is the one-shot path (prefix
   /// "mlvc", engine mutates Storage-global knobs as before); ctx != nullptr
   /// is a per-query engine over the context's shared substrate.
@@ -628,16 +632,14 @@ class MultiLogVCEngine {
                   multilog::EdgeLogConfig{App::kNeedsWeights,
                                           options_.edge_log_budget()}),
         predictor_(graph.num_vertices(), options_.predictor_history),
-        util_tracker_(graph.storage().page_size(),
-                      options_.page_util_threshold),
+        util_tracker_(graph.storage().page_size()),
         loader_(graph, &edge_log_, &util_tracker_,
                 GraphLoaderUnit::Config{App::kNeedsWeights,
                                         options_.enable_edge_log,
                                         cache_reg_.slot()}),
         values_(graph.storage(), blob_prefix_ + "/values",
                 graph.num_vertices(),
-                [this](VertexId v) { return app_.initial_value(v); },
-                options_.values_on_storage),
+                [this](VertexId v) { return app_.initial_value(v); }),
         sticky_active_(graph.num_vertices()) {
     MLVC_CHECK_MSG(!App::kNeedsWeights || graph.has_weights(),
                    "application '" << app_.name()
@@ -729,10 +731,10 @@ class MultiLogVCEngine {
     frontier_next_.resize(graph_.num_vertices());
     broadcast_cur_ = std::make_unique<VertexValueStore<Message>>(
         graph_.storage(), blob_prefix_ + "/bcast0", graph_.num_vertices(),
-        [](VertexId) { return Message{}; }, options_.values_on_storage);
+        [](VertexId) { return Message{}; });
     broadcast_next_ = std::make_unique<VertexValueStore<Message>>(
         graph_.storage(), blob_prefix_ + "/bcast1", graph_.num_vertices(),
-        [](VertexId) { return Message{}; }, options_.values_on_storage);
+        [](VertexId) { return Message{}; });
     // No edge log or page-utilization tracking on the transpose stream —
     // those optimize sparse access, and pull IS the dense-interval case.
     tloader_ = std::make_unique<GraphLoaderUnit>(
@@ -747,7 +749,7 @@ class MultiLogVCEngine {
   /// active in-edge writes one log record and reads it back); pull cost =
   /// the interval's stored transpose adjacency + rowptr bytes + the
   /// expected broadcast gather. Pull wins when
-  /// push_cost >= pull_density_threshold x pull_cost.
+  /// push_cost >= pull_cost.
   ///
   /// Sender estimate for the superstep about to run: extrapolate the
   /// engine's own production series. Messages produced next are last
@@ -800,7 +802,7 @@ class MultiLogVCEngine {
           static_cast<double>(graph_.intervals().width(i) + 1) *
               sizeof(EdgeIndex) +
           density * in_edges * sizeof(Message);
-      if (push_bytes >= options_.pull_density_threshold * pull_bytes) {
+      if (push_bytes >= pull_bytes) {
         direction_next_[i] = 1;
         any_pull_next_ = true;
       }
@@ -1545,14 +1547,13 @@ class MultiLogVCEngine {
           actives.data() + batches[bi].first,
           batches[bi].second - batches[bi].first);
     };
-    // Stage 2: batch b+1 (up to b+prefetch_depth) loads on I/O threads
+    // Stage 2: batches b+1 and b+2 load on I/O threads
     // while batch b computes. Safe because batches are disjoint ascending
     // vertices: loads read only consume-side state (current log
     // generations, stored CSR, values of vertices no earlier batch
     // scatters). A single batch has nothing to overlap and loads inline.
-    const unsigned depth = pipeline_enabled() && batches.size() > 1
-                               ? std::max(1u, options_.prefetch_depth)
-                               : 0;
+    const unsigned depth =
+        pipeline_enabled() && batches.size() > 1 ? kBatchPrefetchDepth : 0;
     prefetched(
         batches.size(), depth,
         [&](std::size_t bi, bool offthread) {
@@ -1614,8 +1615,8 @@ class MultiLogVCEngine {
         const double occupancy =
             static_cast<double>(adj.spans[k].length * sizeof(VertexId)) /
             static_cast<double>(graph_.storage().page_size());
-        if (util >= 0 && util < options_.page_util_threshold &&
-            occupancy < options_.page_util_threshold) {
+        if (util >= 0 && util < multilog::kInefficientPageUtil &&
+            occupancy < multilog::kInefficientPageUtil) {
           const auto span = adj.spans[k];
           edge_log_.log_edges(
               av.v,

@@ -3,14 +3,12 @@
 #pragma once
 
 #include <cstdint>
-#include <cstdlib>
-#include <string>
 
-#include "common/error.hpp"
+#include "common/env.hpp"
 #include "common/memory_budget.hpp"
 #include "common/types.hpp"
 #include "ssd/device_model.hpp"
-#include "ssd/io_backend.hpp"
+#include "ssd/storage.hpp"
 
 namespace mlvc::core {
 
@@ -67,12 +65,6 @@ struct EngineOptions {
   /// RunStats. MLVC_DIRECTION overrides this.
   DirectionMode direction = DirectionMode::kPush;
 
-  /// Adaptive-direction threshold: interval i pulls when
-  ///   est_push_bytes(i) >= pull_density_threshold * est_pull_bytes(i).
-  /// Raise above 1 to pull only when push is clearly worse; lower toward 0
-  /// to pull aggressively.
-  double pull_density_threshold = 1.0;
-
   /// §V.B sort-and-group implementation. kAuto uses the fused parallel
   /// counting scatter (histogram + prefix sum + scatter keyed by
   /// dst - interval_begin) whenever the fused range is not vastly wider than
@@ -83,10 +75,6 @@ struct EngineOptions {
   /// History depth N for the active-vertex predictor (paper uses 1).
   unsigned predictor_history = 1;
 
-  /// Page-utilization threshold below which a page counts as inefficient
-  /// (paper uses 10%).
-  double page_util_threshold = 0.10;
-
   /// Dedicated I/O threads (ssd::AsyncIo pool size) for pipelined superstep
   /// execution (§VI async I/O): log load/decode/sort of interval group k+1
   /// overlaps group k's compute, adjacency batches are prefetched while the
@@ -96,10 +84,6 @@ struct EngineOptions {
   /// are identical to the serial path; only the overlap (and so wall time)
   /// changes. 0 = fully serial superstep.
   unsigned io_threads = 4;
-
-  /// How many active-vertex batches ahead the graph loader may run. 1 is
-  /// classic double buffering (next batch loads while current computes).
-  unsigned prefetch_depth = 2;
 
   /// Hot-path I/O substrate for the run's Storage (ssd/io_backend.hpp):
   /// kThreadPool = blocking pread/pwrite on the calling thread (default),
@@ -138,10 +122,6 @@ struct EngineOptions {
   /// Seed for all app-level randomness (MIS priorities, random walks).
   std::uint64_t seed = 1;
 
-  /// Store vertex values on storage (true, the out-of-core default) or in
-  /// host memory (false; only sensible for unit tests).
-  bool values_on_storage = true;
-
   // Robustness ------------------------------------------------------------
   /// Transient I/O retry budget forwarded to ssd::Storage (attempts per
   /// no-progress streak before a typed IoError escalates).
@@ -174,66 +154,40 @@ struct EngineOptions {
   }
 };
 
-/// Read the enum override `var` into `*out` with `parse` (false = unknown
-/// value). An unknown value throws InvalidArgument naming the variable and
-/// the accepted spellings: a CI leg with a typo fails instead of quietly
-/// re-testing the default.
-template <typename T, typename Parse>
-void parse_env_enum(const char* var, const char* accepted, T* out,
-                    Parse parse) {
-  const char* env = std::getenv(var);
-  if (env != nullptr && !parse(env, out)) {
-    throw InvalidArgument(std::string(var) + ": unknown value '" + env +
-                          "' (want " + accepted + ")");
-  }
-}
-
-/// Environment overrides, applied by the engine at construction so every
-/// entry point (tools, tests, benches) honors them. MLVC_SCATTER_STAGING
-/// pins the produce-path staging depth — CI runs the tier-1 suite with it
-/// set to 1 to keep the worst-case flush-churn configuration honest. The
-/// MLVC_FAULT_* overrides let the CI fault matrix tune the retry budget and
-/// recovery mode underneath an unmodified test suite, and MLVC_IO_BACKEND /
-/// MLVC_URING_DEPTH re-run the same suite on the io_uring substrate. The
-/// enum overrides (MLVC_IO_BACKEND, MLVC_FORMAT, MLVC_SCHEDULE,
-/// MLVC_DIRECTION) reject unknown values.
+/// The engine rows of the env table (common/env.hpp) over `options`,
+/// applied by the engine at construction so every entry point (tools,
+/// tests, benches) honors them; a tool flag reaches them through
+/// env::pin_flags. CI re-runs the tier-1 suite under several of them:
+/// MLVC_SCATTER_STAGING=1 keeps the worst-case flush churn honest, the
+/// MLVC_FAULT_* rows tune retries and recovery under injected faults, and
+/// MLVC_IO_BACKEND, MLVC_FORMAT, MLVC_SCHEDULE and MLVC_DIRECTION switch
+/// the substrate, layout, order and direction under an unmodified suite.
 inline EngineOptions apply_env_overrides(EngineOptions options) {
-  if (const char* env = std::getenv("MLVC_SCATTER_STAGING")) {
-    options.scatter_staging_records =
-        static_cast<unsigned>(std::strtoul(env, nullptr, 10));
+  if (auto n = env::get_unsigned(env::kScatterStaging)) {
+    options.scatter_staging_records = *n;
   }
-  if (const char* env = std::getenv("MLVC_FAULT_RETRIES")) {
-    const unsigned n = static_cast<unsigned>(std::strtoul(env, nullptr, 10));
-    options.io_retry_attempts = n > 0 ? n : 1;
+  if (auto on = env::get_bool(env::kFaultTornRecovery)) {
+    options.torn_page_recovery = *on;
   }
-  if (const char* env = std::getenv("MLVC_FAULT_RETRY_BASE_US")) {
-    options.io_retry_base_delay_us =
-        static_cast<unsigned>(std::strtoul(env, nullptr, 10));
+  ssd::apply_io_env(options.io_backend, options.io_queue_depth,
+                    options.io_retry_attempts, options.io_retry_base_delay_us);
+  if (auto f = env::get_enum<OnDiskFormat>(env::kFormat,
+                                           parse_on_disk_format)) {
+    options.on_disk_format = *f;
   }
-  if (const char* env = std::getenv("MLVC_FAULT_TORN_RECOVERY")) {
-    options.torn_page_recovery = std::strtoul(env, nullptr, 10) != 0;
-  }
-  parse_env_enum("MLVC_IO_BACKEND", "threadpool|uring", &options.io_backend,
-                 [](const char* s, ssd::IoBackendKind* out) {
-                   const auto kind = ssd::parse_io_backend(s);
-                   if (kind) *out = *kind;
-                   return kind.has_value();
-                 });
-  parse_env_enum("MLVC_FORMAT", "v1|v2", &options.on_disk_format,
-                 parse_on_disk_format);
   // Ordering only: the override never flips the computation model, so a
   // tier-1 re-run under MLVC_SCHEDULE=hub-degree keeps every app's
   // delivery semantics (and therefore its values) intact.
-  parse_env_enum("MLVC_SCHEDULE", "bsp|fifo|hub-degree|log-bytes",
-                 &options.schedule_policy, parse_schedule_policy);
+  if (auto p = env::get_enum<SchedulePolicy>(env::kSchedule,
+                                             parse_schedule_policy)) {
+    options.schedule_policy = *p;
+  }
   // Pull/adaptive are self-gating — a store with no transpose (or an app
   // with no pull hook) still runs push, so a tier-1 re-run under
   // MLVC_DIRECTION=adaptive is always safe.
-  parse_env_enum("MLVC_DIRECTION", "push|pull|adaptive", &options.direction,
-                 parse_direction_mode);
-  if (const char* env = std::getenv("MLVC_URING_DEPTH")) {
-    const unsigned d = static_cast<unsigned>(std::strtoul(env, nullptr, 10));
-    if (d > 0) options.io_queue_depth = d;
+  if (auto d = env::get_enum<DirectionMode>(env::kDirection,
+                                            parse_direction_mode)) {
+    options.direction = *d;
   }
   return options;
 }

@@ -122,11 +122,13 @@ RuntimeContext::RuntimeContext(std::filesystem::path dir,
           std::max(options.shared_cache_bytes, storage_.page_size()))),
       arbiter_("runtime-context", options.memory_pool_bytes),
       snapshots_(storage_) {
-  storage_.set_retry_policy(options.retry);
+  ssd::apply_io_env(options_.io_backend, options_.io_queue_depth,
+                    options_.retry.max_attempts, options_.retry.base_delay_us);
+  storage_.set_retry_policy(options_.retry);
   // The ONE io-backend decision for every query this context will serve.
   // Context-mode engines inherit it instead of re-probing per run.
   io_backend_ =
-      storage_.set_io_backend(options.io_backend, options.io_queue_depth);
+      storage_.set_io_backend(options_.io_backend, options_.io_queue_depth);
   io_fallback_ = storage_.io_backend_fallback();
 }
 

@@ -183,7 +183,10 @@ struct ContextAggregates {
 
 struct RuntimeContextOptions {
   ssd::DeviceConfig device{};
-  /// Selected once for the whole context (engines inherit it).
+  /// Selected once for the whole context (engines inherit it). The context
+  /// applies the storage env rows (ssd::apply_io_env) over the backend,
+  /// queue depth and retry policy, the way the engine does over its own
+  /// options.
   ssd::IoBackendKind io_backend = ssd::IoBackendKind::kThreadPool;
   unsigned io_queue_depth = 64;
   ssd::RetryPolicy retry{};

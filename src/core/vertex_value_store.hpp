@@ -6,13 +6,9 @@
 // touches the value pages of active vertices; the baselines sweep the whole
 // file every superstep — the same asymmetry the paper's CSR-vs-shard
 // argument describes, applied to vertex data.
-//
-// An in-memory mode exists for unit tests and for apps whose value state is
-// genuinely tiny.
 #pragma once
 
 #include <algorithm>
-#include <cstring>
 #include <span>
 #include <vector>
 
@@ -30,31 +26,23 @@ class VertexValueStore {
   /// On-storage store, initialized with init(v) for every vertex.
   template <typename InitFn>
   VertexValueStore(ssd::Storage& storage, const std::string& name,
-                   VertexId num_vertices, InitFn&& init, bool on_storage)
+                   VertexId num_vertices, InitFn&& init)
       : num_vertices_(num_vertices),
-        on_storage_(on_storage),
-        page_size_(storage.page_size()) {
-    if (on_storage_) {
-      blob_ = &storage.create_blob(name, ssd::IoCategory::kVertexValue);
-      // Chunked initialization so construction stays within loader-budget
-      // scale memory.
-      constexpr std::size_t kChunk = 1u << 16;
-      std::vector<Value> chunk;
-      chunk.reserve(kChunk);
-      for (VertexId v = 0; v < num_vertices_; ++v) {
-        chunk.push_back(init(v));
-        if (chunk.size() == kChunk) {
-          blob_->append(chunk.data(), chunk.size() * sizeof(Value));
-          chunk.clear();
-        }
-      }
-      blob_->append(chunk.data(), chunk.size() * sizeof(Value));
-    } else {
-      memory_.reserve(num_vertices_);
-      for (VertexId v = 0; v < num_vertices_; ++v) {
-        memory_.push_back(init(v));
+        page_size_(storage.page_size()),
+        blob_(&storage.create_blob(name, ssd::IoCategory::kVertexValue)) {
+    // Chunked initialization so construction stays within loader-budget
+    // scale memory.
+    constexpr std::size_t kChunk = 1u << 16;
+    std::vector<Value> chunk;
+    chunk.reserve(kChunk);
+    for (VertexId v = 0; v < num_vertices_; ++v) {
+      chunk.push_back(init(v));
+      if (chunk.size() == kChunk) {
+        blob_->append(chunk.data(), chunk.size() * sizeof(Value));
+        chunk.clear();
       }
     }
+    blob_->append(chunk.data(), chunk.size() * sizeof(Value));
   }
 
   VertexId num_vertices() const noexcept { return num_vertices_; }
@@ -77,14 +65,6 @@ class VertexValueStore {
   Spans gather_spans(std::span<const VertexId> vertices) const {
     Spans spans;
     spans.slot.resize(vertices.size());
-    if (!on_storage_) {
-      spans.buf.resize(vertices.size());
-      for (std::size_t i = 0; i < vertices.size(); ++i) {
-        spans.buf[i] = memory_[vertices[i]];
-        spans.slot[i] = i;
-      }
-      return spans;
-    }
     for_each_coalesced_run(vertices, [&](std::size_t first, std::size_t last) {
       // Read the contiguous span [vertices[first], vertices[last]] once.
       const VertexId vb = vertices[first];
@@ -125,12 +105,6 @@ class VertexValueStore {
       ids.push_back(vertices[i]);
       slots.push_back(spans.slot[i]);
     }
-    if (!on_storage_) {
-      for (std::size_t j = 0; j < ids.size(); ++j) {
-        memory_[ids[j]] = spans.buf[slots[j]];
-      }
-      return;
-    }
     for_each_coalesced_run(ids, [&](std::size_t first, std::size_t last) {
       const std::size_t count = ids[last] - ids[first] + 1;
       MLVC_CHECK(slots[last] - slots[first] + 1 == count);
@@ -145,12 +119,6 @@ class VertexValueStore {
   void scatter(std::span<const VertexId> vertices,
                std::span<const Value> values) {
     MLVC_CHECK(vertices.size() == values.size());
-    if (!on_storage_) {
-      for (std::size_t i = 0; i < vertices.size(); ++i) {
-        memory_[vertices[i]] = values[i];
-      }
-      return;
-    }
     for_each_coalesced_run(vertices, [&](std::size_t first, std::size_t last) {
       const VertexId vb = vertices[first];
       const VertexId ve = vertices[last];
@@ -170,25 +138,16 @@ class VertexValueStore {
     MLVC_CHECK(begin <= end && end <= num_vertices_);
     std::vector<Value> out(end - begin);
     if (out.empty()) return out;
-    if (on_storage_) {
-      blob_->read(static_cast<std::uint64_t>(begin) * sizeof(Value),
-                  out.data(), out.size() * sizeof(Value));
-    } else {
-      std::memcpy(out.data(), memory_.data() + begin,
-                  out.size() * sizeof(Value));
-    }
+    blob_->read(static_cast<std::uint64_t>(begin) * sizeof(Value), out.data(),
+                out.size() * sizeof(Value));
     return out;
   }
 
   void store_range(VertexId begin, std::span<const Value> values) {
     MLVC_CHECK(begin + values.size() <= num_vertices_);
     if (values.empty()) return;
-    if (on_storage_) {
-      blob_->write(static_cast<std::uint64_t>(begin) * sizeof(Value),
-                   values.data(), values.size_bytes());
-    } else {
-      std::memcpy(memory_.data() + begin, values.data(), values.size_bytes());
-    }
+    blob_->write(static_cast<std::uint64_t>(begin) * sizeof(Value),
+                 values.data(), values.size_bytes());
   }
 
   /// Stream the whole store in ascending bounded chunks:
@@ -235,10 +194,8 @@ class VertexValueStore {
   }
 
   VertexId num_vertices_;
-  bool on_storage_;
   std::size_t page_size_;
-  ssd::Blob* blob_ = nullptr;
-  std::vector<Value> memory_;
+  ssd::Blob* blob_;
 };
 
 }  // namespace mlvc::core

@@ -38,7 +38,6 @@ struct GraFBoostOptions {
   std::size_t memory_budget_bytes = 64_MiB;
   Superstep max_supersteps = 15;
   std::uint64_t seed = 1;
-  bool values_on_storage = true;
   /// Apply the app's combine operator in the sort-reduce (GraFBoost's
   /// native mode). False = the paper's "adapted" all-messages mode.
   bool use_combine = true;
@@ -59,8 +58,7 @@ class GraFBoostEngine {
         app_(std::move(app)),
         options_(options),
         values_(graph.storage(), "grafboost/values", graph.num_vertices(),
-                [this](VertexId v) { return app_.initial_value(v); },
-                options.values_on_storage),
+                [this](VertexId v) { return app_.initial_value(v); }),
         sticky_active_(graph.num_vertices()) {
     for (VertexId v = 0; v < graph_.num_vertices(); ++v) {
       if (app_.initially_active(v)) sticky_active_.set(v);

@@ -33,7 +33,6 @@ struct GraphChiOptions {
   std::size_t memory_budget_bytes = 64_MiB;
   Superstep max_supersteps = 15;
   std::uint64_t seed = 1;
-  bool values_on_storage = true;
 };
 
 template <core::VertexApp App>
@@ -51,8 +50,7 @@ class GraphChiEngine {
                                      options.memory_budget_bytes),
                 sizeof(Message)),
         values_(storage, "graphchi/values", csr.num_vertices(),
-                [this](VertexId v) { return app_.initial_value(v); },
-                options.values_on_storage),
+                [this](VertexId v) { return app_.initial_value(v); }),
         sticky_active_(csr.num_vertices()) {
     MLVC_CHECK_MSG(!App::kNeedsWeights,
                    "the GraphChi baseline stores messages in edge values and "

@@ -1,12 +1,12 @@
 #include "metrics/report.hpp"
 
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <iomanip>
 #include <iostream>
 #include <sstream>
 
+#include "common/env.hpp"
 #include "common/error.hpp"
 #include "common/format.hpp"
 
@@ -62,8 +62,7 @@ void Table::write_csv(const std::string& dir, const std::string& name) const {
 }
 
 std::string csv_dir_from_env() {
-  const char* dir = std::getenv("MLVC_CSV_DIR");
-  return dir == nullptr ? std::string{} : std::string{dir};
+  return env::get_string(env::kCsvDir).value_or(std::string{});
 }
 
 std::string summarize(const core::RunStats& stats) {

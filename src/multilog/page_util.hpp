@@ -18,12 +18,14 @@
 
 namespace mlvc::multilog {
 
+/// The paper's cutoff for an "inefficiently used" page (§V.C): under 10% of
+/// its bytes needed.
+inline constexpr double kInefficientPageUtil = 0.10;
+
 class PageUtilTracker {
  public:
-  /// `threshold` is the paper's 10% cutoff for "inefficiently used".
-  explicit PageUtilTracker(std::size_t page_size, double threshold = 0.10)
-      : page_size_(page_size), threshold_(threshold) {
-    MLVC_CHECK(page_size_ > 0 && threshold_ > 0 && threshold_ <= 1.0);
+  explicit PageUtilTracker(std::size_t page_size) : page_size_(page_size) {
+    MLVC_CHECK(page_size_ > 0);
   }
 
   /// Record that `useful_bytes` of page (blob_id, page_no) were needed by
@@ -44,7 +46,7 @@ class PageUtilTracker {
 
   struct SuperstepSummary {
     std::size_t pages_touched = 0;
-    std::size_t pages_inefficient = 0;           // 0% < util < threshold
+    std::size_t pages_inefficient = 0;           // 0% < util < 10%
     std::size_t inefficient_predicted = 0;       // and predicted as such
     double inefficient_fraction() const {
       return pages_touched == 0
@@ -69,7 +71,7 @@ class PageUtilTracker {
       ++s.pages_touched;
       const double util =
           static_cast<double>(bytes) / static_cast<double>(page_size_);
-      if (bytes > 0 && util < threshold_) {
+      if (bytes > 0 && util < kInefficientPageUtil) {
         ++s.pages_inefficient;
         inefficient.insert(k);
         if (previous_inefficient_.count(k) != 0) ++s.inefficient_predicted;
@@ -81,7 +83,6 @@ class PageUtilTracker {
   }
 
   std::size_t page_size() const noexcept { return page_size_; }
-  double threshold() const noexcept { return threshold_; }
 
  private:
   static std::uint64_t key(std::uint64_t blob_id, std::uint64_t page_no) {
@@ -89,7 +90,6 @@ class PageUtilTracker {
   }
 
   std::size_t page_size_;
-  double threshold_;
   mutable std::mutex mutex_;
   std::unordered_map<std::uint64_t, std::size_t> useful_;
   std::unordered_set<std::uint64_t> previous_inefficient_;

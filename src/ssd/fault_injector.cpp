@@ -1,12 +1,14 @@
 #include "ssd/fault_injector.hpp"
 
-#include <cstdlib>
-
+#include "common/env.hpp"
 #include "common/error.hpp"
 
 namespace mlvc::ssd {
 
-FaultProfile FaultInjector::named_profile(std::string_view name, double rate) {
+namespace {
+
+/// The profile called `name` at `rate`; nullopt for an unknown name.
+std::optional<FaultProfile> find_profile(std::string_view name, double rate) {
   FaultProfile p;
   if (name == "off" || name.empty()) return p;
   if (name == "transient") {
@@ -40,30 +42,31 @@ FaultProfile FaultInjector::named_profile(std::string_view name, double rate) {
     p.max_consecutive_transient = 0;  // exhaust any retry budget
     return p;
   }
+  return std::nullopt;
+}
+
+}  // namespace
+
+FaultProfile FaultInjector::named_profile(std::string_view name, double rate) {
+  if (auto p = find_profile(name, rate)) return *p;
   throw InvalidArgument("unknown fault profile '" + std::string(name) +
-                        "' (off | transient | short-io | torn-page | mixed | "
-                        "giveup)");
+                        "' (want " + env::kFaultProfile.accepted + ")");
 }
 
 std::shared_ptr<FaultInjector> FaultInjector::from_env() {
-  const char* profile_env = std::getenv("MLVC_FAULT_PROFILE");
-  if (profile_env == nullptr || std::string_view(profile_env) == "off" ||
-      std::string_view(profile_env).empty()) {
-    return nullptr;
-  }
-  double rate = 0.02;
-  if (const char* env = std::getenv("MLVC_FAULT_RATE")) {
-    rate = std::strtod(env, nullptr);
-  }
-  FaultProfile profile = named_profile(profile_env, rate);
-  if (const char* env = std::getenv("MLVC_FAULT_CRASH_AFTER")) {
-    profile.crash_after_writes = std::strtoull(env, nullptr, 10);
-  }
-  std::uint64_t seed = 1;
-  if (const char* env = std::getenv("MLVC_FAULT_SEED")) {
-    seed = std::strtoull(env, nullptr, 10);
-  }
-  return std::make_shared<FaultInjector>(profile, seed);
+  // Every fault row is parsed even when no profile is set, so a typo in any
+  // of them fails instead of quietly running fault-free.
+  const double rate = env::get_double(env::kFaultRate).value_or(0.02);
+  const auto crash_after =
+      env::get_unsigned<std::uint64_t>(env::kFaultCrashAfter).value_or(0);
+  const auto seed =
+      env::get_unsigned<std::uint64_t>(env::kFaultSeed).value_or(1);
+  const auto name = env::get_string(env::kFaultProfile);
+  if (!name || *name == "off") return nullptr;
+  auto profile = find_profile(*name, rate);
+  if (!profile) env::reject(env::kFaultProfile, *name);
+  profile->crash_after_writes = crash_after;
+  return std::make_shared<FaultInjector>(*profile, seed);
 }
 
 }  // namespace mlvc::ssd

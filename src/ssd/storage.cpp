@@ -14,6 +14,7 @@
 #include <fstream>
 #include <thread>
 
+#include "common/env.hpp"
 #include "ssd/fault_injector.hpp"
 #include "ssd/uring_io.hpp"
 
@@ -543,14 +544,9 @@ DeviceConfig Storage::resolve_stripe_layout(const std::filesystem::path& dir,
   std::error_code ec;
   std::filesystem::create_directories(dir, ec);
   if (ec) throw IoError("mkdir", dir.string(), ec.value());
-  if (const char* env = std::getenv("MLVC_DEVICES")) {
-    const unsigned n = static_cast<unsigned>(std::strtoul(env, nullptr, 10));
-    if (n > 0) config.num_devices = n;
-  }
-  if (const char* env = std::getenv("MLVC_STRIPE_UNIT")) {
-    const std::size_t u =
-        static_cast<std::size_t>(std::strtoull(env, nullptr, 10));
-    if (u > 0) config.stripe_unit_bytes = u;
+  if (auto n = env::get_unsigned(env::kDevices)) config.num_devices = *n;
+  if (auto u = env::get_bytes(env::kStripeUnit)) {
+    config.stripe_unit_bytes = static_cast<std::size_t>(*u);
   }
   // An existing store's manifest is authoritative: the stripe layout is
   // baked into the files, so reopening under a different MLVC_DEVICES must
@@ -602,26 +598,25 @@ std::vector<std::filesystem::path> Storage::blob_paths(
 Storage::Storage(std::filesystem::path dir, DeviceConfig config)
     : dir_(std::move(dir)), device_(resolve_stripe_layout(dir_, config)) {
   fault_ = FaultInjector::from_env();
-  if (const char* env = std::getenv("MLVC_FAULT_RETRIES")) {
-    retry_policy_.max_attempts = std::max(
-        1u, static_cast<unsigned>(std::strtoul(env, nullptr, 10)));
+  IoBackendKind backend = IoBackendKind::kThreadPool;
+  apply_io_env(backend, uring_depth_, retry_policy_.max_attempts,
+               retry_policy_.base_delay_us);
+  set_io_backend(backend);
+}
+
+void apply_io_env(IoBackendKind& backend, unsigned& uring_depth,
+                  unsigned& retry_attempts, unsigned& retry_base_us) {
+  if (auto kind = env::get_enum<IoBackendKind>(
+          env::kIoBackend, [](const char* s, IoBackendKind* out) {
+            const auto k = parse_io_backend(s);
+            if (k) *out = *k;
+            return k.has_value();
+          })) {
+    backend = *kind;
   }
-  if (const char* env = std::getenv("MLVC_FAULT_RETRY_BASE_US")) {
-    retry_policy_.base_delay_us =
-        static_cast<unsigned>(std::strtoul(env, nullptr, 10));
-  }
-  if (const char* env = std::getenv("MLVC_URING_DEPTH")) {
-    const unsigned d = static_cast<unsigned>(std::strtoul(env, nullptr, 10));
-    if (d > 0) uring_depth_ = d;
-  }
-  if (const char* env = std::getenv("MLVC_IO_BACKEND")) {
-    const auto kind = parse_io_backend(env);
-    if (!kind) {
-      throw InvalidArgument(std::string("MLVC_IO_BACKEND: unknown backend '") +
-                            env + "' (want threadpool|uring)");
-    }
-    set_io_backend(*kind);
-  }
+  if (auto d = env::get_unsigned(env::kUringDepth)) uring_depth = *d;
+  if (auto n = env::get_unsigned(env::kFaultRetries)) retry_attempts = *n;
+  if (auto us = env::get_unsigned(env::kFaultRetryBaseUs)) retry_base_us = *us;
 }
 
 Storage::~Storage() = default;
@@ -743,6 +738,8 @@ const IoBackendProbe& shared_io_backend_probe() {
 
 IoBackendKind Storage::set_io_backend(IoBackendKind requested,
                                       unsigned queue_depth) {
+  // Read on every call, so a bad value fails even where no fallback happens.
+  const bool strict = env::get_bool(env::kIoStrict).value_or(false);
   std::lock_guard<std::mutex> lock(fault_mutex_);
   if (queue_depth > 0) uring_depth_ = queue_depth;
   uring_fallback_.clear();
@@ -765,8 +762,7 @@ IoBackendKind Storage::set_io_backend(IoBackendKind requested,
       return io_backend_kind_;
     }
     uring_fallback_ = p.fallback_reason;
-    if (const char* strict = std::getenv("MLVC_IO_STRICT");
-        strict && std::strtoul(strict, nullptr, 10) != 0) {
+    if (strict) {
       throw Error(
           "io_uring backend requested with MLVC_IO_STRICT set but the probe "
           "failed: " +

@@ -49,6 +49,13 @@ struct RetryPolicy {
 /// io_uring completion handler so both backends back off identically.
 void retry_backoff_sleep(const RetryPolicy& policy, unsigned fails);
 
+/// The storage rows of the env table (common/env.hpp) over the given
+/// values: MLVC_IO_BACKEND, MLVC_URING_DEPTH, MLVC_FAULT_RETRIES and
+/// MLVC_FAULT_RETRY_BASE_US. Storage, core::RuntimeContext and the engine
+/// options all resolve them here, so every entry point agrees.
+void apply_io_env(IoBackendKind& backend, unsigned& uring_depth,
+                  unsigned& retry_attempts, unsigned& retry_base_us);
+
 /// Process-wide io-backend probe resolution, shared by every Storage (and
 /// surfaced through core::RuntimeContext, which selects the backend once so
 /// per-query engines never call set_io_backend at all). Resolves exactly
@@ -289,12 +296,12 @@ class Storage {
   /// Select the hot-path I/O substrate (see io_backend.hpp). Requesting
   /// kUring probes the kernel once per process and transparently falls back
   /// to the thread-pool path when io_uring is refused, recording the reason
-  /// (io_backend_fallback()) — unless MLVC_IO_STRICT is set to a nonzero
-  /// value, which turns the fallback into an Error so CI can hard-fail when
-  /// a uring-capable runner regresses to the fallback. `queue_depth` > 0
-  /// resizes the ring (default 64; the constructor honors MLVC_URING_DEPTH).
-  /// Returns the backend actually selected. The constructor applies
-  /// MLVC_IO_BACKEND so every entry point switches with no code changes.
+  /// (io_backend_fallback()) — unless MLVC_IO_STRICT=1, which turns the
+  /// fallback into an Error so CI can hard-fail when a uring-capable runner
+  /// regresses to the fallback. `queue_depth` > 0 resizes the ring (default
+  /// 64). Returns the backend actually selected. The constructor selects
+  /// the backend apply_io_env() resolves, so every entry point switches
+  /// with no code changes.
   IoBackendKind set_io_backend(IoBackendKind requested,
                                unsigned queue_depth = 0);
   IoBackendKind io_backend() const;

@@ -11,11 +11,13 @@
 #include <cstring>
 #include <limits>
 #include <string>
+#include <string_view>
 
 #include "apps/bfs.hpp"
 #include "apps/pagerank_delta.hpp"
 #include "apps/sssp.hpp"
 #include "apps/wcc.hpp"
+#include "common/env.hpp"
 #include "core/engine.hpp"
 #include "core/interval_scheduler.hpp"
 #include "graph/generators.hpp"
@@ -165,17 +167,12 @@ SchedRun<App> run_scheduled(const graph::CsrGraph& csr, App app,
   return out;
 }
 
-struct ScheduleEnvGuard {
-  ScheduleEnvGuard() { ::unsetenv("MLVC_SCHEDULE"); }
-  ~ScheduleEnvGuard() { ::unsetenv("MLVC_SCHEDULE"); }
-};
-
 // Every test below pins schedule_policy explicitly per run, so shield the
 // suite from the CI leg that re-runs tier-1 under MLVC_SCHEDULE=hub-degree
 // (the env override itself is covered by ScheduleOptions).
 class ScheduledExecution : public ::testing::Test {
  private:
-  ScheduleEnvGuard guard_;
+  ScopedEnv guard_{"MLVC_SCHEDULE", nullptr};
 };
 
 TEST_F(ScheduledExecution, WccReachesReferenceFixpointUnderEveryPolicy) {
@@ -333,7 +330,7 @@ TEST_F(ScheduledExecution, BspAsyncRunsTheFifoSweep) {
 // ---- MLVC_SCHEDULE env override ---------------------------------------------
 
 TEST(ScheduleOptions, EnvOverrideParsesAndRejectsJunk) {
-  ScheduleEnvGuard guard;
+  ScopedEnv guard("MLVC_SCHEDULE", nullptr);
   EXPECT_EQ(core::apply_env_overrides(core::EngineOptions{}).schedule_policy,
             SchedulePolicy::kBsp);
   ::setenv("MLVC_SCHEDULE", "hub-degree", 1);
@@ -342,27 +339,30 @@ TEST(ScheduleOptions, EnvOverrideParsesAndRejectsJunk) {
   ::setenv("MLVC_SCHEDULE", "log_bytes", 1);  // underscore spelling
   EXPECT_EQ(core::apply_env_overrides(core::EngineOptions{}).schedule_policy,
             SchedulePolicy::kLogBytes);
-  // An unparsable value throws instead of leaving the configured policy in
-  // place, so a CI leg with a typo cannot quietly re-test the default.
-  ::setenv("MLVC_SCHEDULE", "zork", 1);
-  EXPECT_THROW(core::apply_env_overrides(core::EngineOptions{}),
-               InvalidArgument);
-  ::unsetenv("MLVC_SCHEDULE");
-  // The other enum overrides follow the same policy. Each keeps the value a
-  // CI leg may have set for the rest of the suite.
-  for (const char* var :
-       {"MLVC_DIRECTION", "MLVC_FORMAT", "MLVC_IO_BACKEND"}) {
-    const char* prev = std::getenv(var);
-    const std::string saved = prev != nullptr ? prev : "";
-    const bool had = prev != nullptr;
-    ::setenv(var, "zork", 1);
-    EXPECT_THROW(core::apply_env_overrides(core::EngineOptions{}),
-                 InvalidArgument)
-        << var;
-    if (had) {
-      ::setenv(var, saved.c_str(), 1);
-    } else {
-      ::unsetenv(var);
+  // Every row of the env table follows one policy: an unparsable value
+  // throws InvalidArgument naming the variable instead of leaving the
+  // default in place, so a CI leg with a typo cannot quietly re-test the
+  // default. The engine and Storage read their rows at construction; the
+  // bench rows go through the same typed readers in the bench binaries.
+  ssd::TempDir dir;
+  for (const env::Var* var : env::kVars) {
+    if (var->kind == env::Kind::kString) continue;  // any text is a value
+    ScopedEnv junk(var->name, "abc");
+    try {
+      if (std::string_view(var->name).starts_with("MLVC_BENCH_")) {
+        if (var->kind == env::Kind::kDouble) {
+          env::get_double(*var);
+        } else {
+          env::get_unsigned(*var);
+        }
+      } else {
+        core::apply_env_overrides(core::EngineOptions{});
+        ssd::Storage storage(dir.path() / var->name);
+      }
+      ADD_FAILURE() << var->name << "=abc was accepted";
+    } catch (const InvalidArgument& e) {
+      EXPECT_NE(std::string(e.what()).find(var->name), std::string::npos)
+          << e.what();
     }
   }
 }

@@ -1,14 +1,17 @@
-// Unit tests for the common substrate: bitsets, RNG, thread pool, memory
-// budget, formatting, parallel helpers.
+// Unit tests for the common substrate: bitsets, RNG, thread pool, the env
+// table, formatting, parallel helpers.
 #include <gtest/gtest.h>
 
+#include <fstream>
 #include <numeric>
 #include <set>
+#include <string>
+#include <vector>
 
 #include "common/bitset.hpp"
+#include "common/env.hpp"
 #include "common/error.hpp"
 #include "common/format.hpp"
-#include "common/memory_budget.hpp"
 #include "common/parallel.hpp"
 #include "common/rng.hpp"
 #include "common/thread_pool.hpp"
@@ -198,40 +201,30 @@ TEST(ThreadPool, WaitIdleDrains) {
   EXPECT_EQ(counter.load(), 50);
 }
 
-// ---- MemoryBudget ----------------------------------------------------------
+// ---- env table -------------------------------------------------------------
 
-TEST(MemoryBudget, ChargeAndRelease) {
-  MemoryBudget budget("test", 1000);
-  budget.charge(600);
-  EXPECT_EQ(budget.used(), 600u);
-  EXPECT_EQ(budget.available(), 400u);
-  budget.release(600);
-  EXPECT_EQ(budget.used(), 0u);
-}
-
-TEST(MemoryBudget, OverchargeThrows) {
-  MemoryBudget budget("test", 100);
-  budget.charge(80);
-  EXPECT_THROW(budget.charge(30), BudgetError);
-  EXPECT_EQ(budget.used(), 80u);  // failed charge rolled back
-}
-
-TEST(BudgetCharge, RaiiReleases) {
-  MemoryBudget budget("test", 100);
-  {
-    BudgetCharge charge(budget, 60);
-    EXPECT_EQ(budget.used(), 60u);
+TEST(EnvTable, ReadmeListsExactlyItsRows) {
+  // README's "Environment variables" table documents the code table: one
+  // line per row, in order, with the same accepted values, flag and doc.
+  std::vector<std::string> want;
+  for (const env::Var* var : env::kVars) {
+    std::string accepted = var->accepted;
+    for (std::size_t at = 0; (at = accepted.find('|', at)) != accepted.npos;
+         at += 2) {
+      accepted.insert(at, "\\");
+    }
+    const std::string flag = *var->flag ? "`--" + std::string(var->flag) + "`"
+                                        : std::string();
+    want.push_back("| `" + std::string(var->name) + "` | " + accepted + " | " +
+                   flag + " | " + var->doc + " |");
   }
-  EXPECT_EQ(budget.used(), 0u);
-}
-
-TEST(BudgetCharge, MoveTransfersOwnership) {
-  MemoryBudget budget("test", 100);
-  BudgetCharge a(budget, 50);
-  BudgetCharge b = std::move(a);
-  EXPECT_EQ(budget.used(), 50u);
-  b.reset();
-  EXPECT_EQ(budget.used(), 0u);
+  std::ifstream in(README_PATH);
+  ASSERT_TRUE(in.good());
+  std::vector<std::string> listed;
+  for (std::string line; std::getline(in, line);) {
+    if (line.rfind("| `MLVC_", 0) == 0) listed.push_back(line);
+  }
+  EXPECT_EQ(listed, want);
 }
 
 // ---- format helpers --------------------------------------------------------

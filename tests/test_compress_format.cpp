@@ -33,33 +33,10 @@ using multilog::LogChunkIndex;
 using multilog::Record;
 using multilog::TornPagePolicy;
 
-/// Format-pinning tests must not be retargeted by a CI format matrix
-/// (MLVC_FORMAT / MLVC_SCATTER_STAGING are re-applied by the engine at
-/// construction): save + clear them, restore on exit.
-class ScopedFormatEnv {
- public:
-  ScopedFormatEnv() {
-    for (const char* var : kVars) {
-      const char* v = std::getenv(var);
-      saved_.emplace_back(var, v ? std::string(v) : std::string());
-      ::unsetenv(var);
-    }
-  }
-  ~ScopedFormatEnv() {
-    for (const auto& [var, value] : saved_) {
-      if (value.empty()) {
-        ::unsetenv(var.c_str());
-      } else {
-        ::setenv(var.c_str(), value.c_str(), 1);
-      }
-    }
-  }
-
- private:
-  static constexpr const char* kVars[] = {"MLVC_FORMAT",
-                                          "MLVC_SCATTER_STAGING"};
-  std::vector<std::pair<std::string, std::string>> saved_;
-};
+/// Format-pinning tests clear these (the engine re-applies them at
+/// construction) so a CI format or staging leg cannot retarget them.
+const std::vector<const char*> kFormatVars = {"MLVC_FORMAT",
+                                              "MLVC_SCATTER_STAGING"};
 
 // ---- varint primitives ------------------------------------------------------
 
@@ -712,7 +689,7 @@ std::vector<typename App::Value> run_fmt(const graph::CsrGraph& csr, App app,
 // PageRank combines floats whose fold order is unspecified, so it compares
 // within rounding tolerance.
 TEST(EngineFormatMatrix, ValuesMatchAcrossFormats) {
-  ScopedFormatEnv guard;
+  ScopedEnv guard(kFormatVars);
   const auto csr = sample_graph(9, 11);
   const struct {
     bool pipeline;
@@ -773,7 +750,7 @@ core::EngineOptions fmt_opts(OnDiskFormat format, Superstep max_steps = 15) {
 /// labels must match an uninterrupted run. This is the transcode path for
 /// real interval logs, both directions.
 void check_cross_format_resume(OnDiskFormat save_fmt, OnDiskFormat load_fmt) {
-  ScopedFormatEnv guard;
+  ScopedEnv guard(kFormatVars);
   const auto csr = ckpt_graph();
   const auto expected = reference::cdlp_labels(csr, 15);
   ssd::TempDir dir;
@@ -824,7 +801,7 @@ TEST(CheckpointFormat, LegacyVersion2ImageLoads) {
   // the format byte and re-stamping the header, then restore it into a v2
   // store — exercising both the legacy acceptance and the v1 -> v2
   // transcode in one load.
-  ScopedFormatEnv guard;
+  ScopedEnv guard(kFormatVars);
   const auto csr = ckpt_graph(72);
   const auto expected = reference::cdlp_labels(csr, 15);
   ssd::TempDir dir;

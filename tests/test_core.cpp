@@ -27,7 +27,7 @@ struct Env {
 TEST(VertexValueStore, InitAndAll) {
   Env env;
   VertexValueStore<std::uint32_t> store(
-      env.storage, "v", 1000, [](VertexId v) { return v * 2; }, true);
+      env.storage, "v", 1000, [](VertexId v) { return v * 2; });
   const auto all = store.all();
   ASSERT_EQ(all.size(), 1000u);
   for (VertexId v = 0; v < 1000; ++v) EXPECT_EQ(all[v], v * 2);
@@ -36,7 +36,7 @@ TEST(VertexValueStore, InitAndAll) {
 TEST(VertexValueStore, GatherScatterRoundTrip) {
   Env env;
   VertexValueStore<float> store(
-      env.storage, "v", 500, [](VertexId) { return 0.0f; }, true);
+      env.storage, "v", 500, [](VertexId) { return 0.0f; });
   const std::vector<VertexId> ids = {3, 7, 100, 101, 499};
   std::vector<float> vals = {1, 2, 3, 4, 5};
   store.scatter(ids, vals);
@@ -49,7 +49,7 @@ TEST(VertexValueStore, GatherScatterRoundTrip) {
 TEST(VertexValueStore, CoalescedGatherTouchesFewPages) {
   Env env;
   VertexValueStore<std::uint32_t> store(
-      env.storage, "v", 100000, [](VertexId v) { return v; }, true);
+      env.storage, "v", 100000, [](VertexId v) { return v; });
   const auto before = env.storage.stats().snapshot();
   // 100 vertices all on the same 4 KiB page (1024 u32 values per page).
   std::vector<VertexId> ids;
@@ -67,24 +67,10 @@ TEST(VertexValueStore, CoalescedGatherTouchesFewPages) {
   EXPECT_EQ(diff2[ssd::IoCategory::kVertexValue].pages_read, 10u);
 }
 
-TEST(VertexValueStore, InMemoryModeDoesNoIo) {
-  Env env;
-  VertexValueStore<std::uint32_t> store(
-      env.storage, "v", 100, [](VertexId v) { return v; }, false);
-  const auto before = env.storage.stats().snapshot();
-  const std::vector<VertexId> ids = {1, 50};
-  auto vals = store.gather(ids);
-  vals[0] = 99;
-  store.scatter(ids, vals);
-  EXPECT_EQ(env.storage.stats().snapshot().total_pages(),
-            before.total_pages());
-  EXPECT_EQ(store.gather(std::vector<VertexId>{1})[0], 99u);
-}
-
 TEST(VertexValueStore, WriteBackWritesDirtyRunsWithoutReading) {
   Env env;
   VertexValueStore<std::uint64_t> store(
-      env.storage, "v", 100000, [](VertexId v) { return v; }, true);
+      env.storage, "v", 100000, [](VertexId v) { return v; });
   // 512 values per 4 KiB page: 10, 20 and 700 coalesce into one run over
   // pages 0-1; 90000 is a run of its own.
   const std::vector<VertexId> ids = {10, 20, 700, 90000};
@@ -119,7 +105,7 @@ TEST(VertexValueStore, WriteBackWritesDirtyRunsWithoutReading) {
 TEST(VertexValueStore, RangeAccess) {
   Env env;
   VertexValueStore<std::uint32_t> store(
-      env.storage, "v", 100, [](VertexId v) { return v; }, true);
+      env.storage, "v", 100, [](VertexId v) { return v; });
   auto range = store.load_range(10, 20);
   ASSERT_EQ(range.size(), 10u);
   EXPECT_EQ(range[0], 10u);
@@ -251,7 +237,7 @@ TEST(GraphLoader, TracksPageUtilization) {
   graph::StoredCsrGraph stored(
       env.storage, "g", csr,
       graph::VertexIntervals::uniform(csr.num_vertices(), 100));
-  multilog::PageUtilTracker tracker(env.storage.page_size(), 0.10);
+  multilog::PageUtilTracker tracker(env.storage.page_size());
   GraphLoaderUnit loader(stored, nullptr, &tracker, {});
 
   // Load one low-degree vertex: its page should register as inefficient.

@@ -42,7 +42,7 @@ template <core::VertexApp App>
 RunResult<App> run(const graph::CsrGraph& csr, App app,
                    core::EngineOptions opts, unsigned devices = 1,
                    bool with_transpose = true) {
-  setenv("MLVC_DIRECTION", to_string(opts.direction), /*overwrite=*/1);
+  ScopedEnv pin("MLVC_DIRECTION", to_string(opts.direction));
   ssd::TempDir dir("direction");
   ssd::DeviceConfig device;
   device.page_size = 4_KiB;
@@ -56,7 +56,6 @@ RunResult<App> run(const graph::CsrGraph& csr, App app,
   RunResult<App> r;
   r.stats = engine.run();
   r.values = engine.values();
-  unsetenv("MLVC_DIRECTION");
   return r;
 }
 
@@ -252,7 +251,7 @@ TEST(DensityCounting, DynamicBitsetCountInRangeMatchesScan) {
 // ---- checkpoint round-trip with pull state --------------------------------
 
 TEST(DirectionCheckpoint, ResumeUnderAdaptiveMatchesUninterruptedRun) {
-  setenv("MLVC_DIRECTION", "adaptive", /*overwrite=*/1);
+  ScopedEnv pin("MLVC_DIRECTION", "adaptive");
   const auto csr = direction_graph(9, 41);
   apps::Wcc app;
   auto opts = direction_opts();
@@ -290,7 +289,6 @@ TEST(DirectionCheckpoint, ResumeUnderAdaptiveMatchesUninterruptedRun) {
   engine.load_checkpoint("mid");
   engine.run();
   EXPECT_EQ(engine.values(), expected);
-  unsetenv("MLVC_DIRECTION");
 }
 
 }  // namespace

@@ -40,34 +40,13 @@ using ssd::FaultInjector;
 using ssd::FaultProfile;
 using ssd::FaultSite;
 
-/// Save + clear the MLVC_FAULT_* environment for a test, restore on exit —
+/// The MLVC_FAULT_* rows a test clears (ScopedEnv restores them on exit):
 /// the suite itself may be running under a CI fault-matrix schedule.
-class ScopedFaultEnv {
- public:
-  ScopedFaultEnv() {
-    for (const char* var : kVars) {
-      const char* v = std::getenv(var);
-      saved_.emplace_back(var, v ? std::string(v) : std::string());
-      ::unsetenv(var);
-    }
-  }
-  ~ScopedFaultEnv() {
-    for (const auto& [var, value] : saved_) {
-      if (value.empty()) {
-        ::unsetenv(var.c_str());
-      } else {
-        ::setenv(var.c_str(), value.c_str(), 1);
-      }
-    }
-  }
-
- private:
-  static constexpr const char* kVars[] = {
-      "MLVC_FAULT_PROFILE", "MLVC_FAULT_RATE", "MLVC_FAULT_SEED",
-      "MLVC_FAULT_CRASH_AFTER", "MLVC_FAULT_RETRIES",
-      "MLVC_FAULT_RETRY_BASE_US"};
-  std::vector<std::pair<std::string, std::string>> saved_;
-};
+const std::vector<const char*> kFaultVars = {
+    "MLVC_FAULT_PROFILE",       "MLVC_FAULT_RATE",
+    "MLVC_FAULT_SEED",          "MLVC_FAULT_CRASH_AFTER",
+    "MLVC_FAULT_RETRIES",       "MLVC_FAULT_RETRY_BASE_US",
+    "MLVC_FAULT_TORN_RECOVERY"};
 
 ssd::RetryPolicy fast_retries() {
   ssd::RetryPolicy p;
@@ -120,7 +99,7 @@ TEST(FaultInjector, ConsecutiveTransientRunsAreCapped) {
 }
 
 TEST(FaultInjector, NamedProfilesAndEnvParsing) {
-  ScopedFaultEnv env_guard;
+  ScopedEnv env_guard(kFaultVars);
   EXPECT_GT(FaultInjector::named_profile("transient", 0.1).transient_read_rate,
             0.0);
   EXPECT_GT(FaultInjector::named_profile("short-io", 0.1).short_write_rate,
@@ -148,7 +127,7 @@ TEST(FaultInjector, NamedProfilesAndEnvParsing) {
 }
 
 TEST(FaultOptions, EngineEnvOverridesParsed) {
-  ScopedFaultEnv env_guard;
+  ScopedEnv env_guard(kFaultVars);
   ::setenv("MLVC_FAULT_RETRIES", "7", 1);
   ::setenv("MLVC_FAULT_RETRY_BASE_US", "5", 1);
   ::setenv("MLVC_FAULT_TORN_RECOVERY", "0", 1);
@@ -156,11 +135,10 @@ TEST(FaultOptions, EngineEnvOverridesParsed) {
   EXPECT_EQ(opts.io_retry_attempts, 7u);
   EXPECT_EQ(opts.io_retry_base_delay_us, 5u);
   EXPECT_FALSE(opts.torn_page_recovery);
-  ::unsetenv("MLVC_FAULT_TORN_RECOVERY");
 }
 
 TEST(FaultRetry, TransientFaultsAreRetriedThenSucceed) {
-  ScopedFaultEnv env_guard;
+  ScopedEnv env_guard(kFaultVars);
   ssd::TempDir dir;
   ssd::Storage storage(dir.path());
   storage.set_retry_policy(fast_retries());
@@ -186,7 +164,7 @@ TEST(FaultRetry, TransientFaultsAreRetriedThenSucceed) {
 }
 
 TEST(FaultRetry, ExhaustedBudgetEscalatesAsTypedIoError) {
-  ScopedFaultEnv env_guard;
+  ScopedEnv env_guard(kFaultVars);
   ssd::TempDir dir;
   ssd::Storage storage(dir.path());
   storage.set_retry_policy(fast_retries());
@@ -206,7 +184,7 @@ TEST(FaultRetry, ExhaustedBudgetEscalatesAsTypedIoError) {
 }
 
 TEST(FaultRetry, ShortIoIsAbsorbedByPartialProgressLoops) {
-  ScopedFaultEnv env_guard;
+  ScopedEnv env_guard(kFaultVars);
   ssd::TempDir dir;
   ssd::Storage storage(dir.path());
   storage.set_retry_policy(fast_retries());
@@ -241,7 +219,7 @@ TEST(FaultRetry, ShortIoIsAbsorbedByPartialProgressLoops) {
 }
 
 TEST(FaultRetry, SyncFailureEscalatesImmediately) {
-  ScopedFaultEnv env_guard;
+  ScopedEnv env_guard(kFaultVars);
   ssd::TempDir dir;
   ssd::Storage storage(dir.path());
   ssd::Blob& blob = storage.create_blob("t", ssd::IoCategory::kMisc);
@@ -257,7 +235,7 @@ TEST(FaultRetry, SyncFailureEscalatesImmediately) {
 }
 
 TEST(FaultStorage, PublishBlobAtomicallyRenames) {
-  ScopedFaultEnv env_guard;
+  ScopedEnv env_guard(kFaultVars);
   ssd::TempDir dir;
   ssd::Storage storage(dir.path());
   ssd::Blob& tmp = storage.create_blob("ckpt.tmp", ssd::IoCategory::kMisc);
@@ -279,7 +257,7 @@ TEST(FaultStorage, PublishBlobAtomicallyRenames) {
 }
 
 TEST(FaultStorage, OpenBlobFallsBackToOnDiskFile) {
-  ScopedFaultEnv env_guard;
+  ScopedEnv env_guard(kFaultVars);
   ssd::TempDir dir;
   const std::uint32_t payload = 77;
   {
@@ -393,7 +371,7 @@ std::uint64_t retries_of_first_firing_seed(std::uint64_t first_seed,
 }
 
 TEST(FaultEngine, RunUnderTransientFaultsMatchesCleanRun) {
-  ScopedFaultEnv env_guard;
+  ScopedEnv env_guard(kFaultVars);
   const auto csr = fault_graph();
   Rig<apps::Bfs> clean(csr, apps::Bfs{.source = 0});
   const auto expected = clean.engine.run();
@@ -425,7 +403,7 @@ TEST(FaultEngine, GiveupMidWaveUnwindsThePipeline) {
   // run() rethrows the typed IoError, and the engine then destructs without
   // hanging (ctest's TIMEOUT turns a hang into a failure). The pull run
   // faults while pull chains are prepared on I/O threads.
-  ScopedFaultEnv env_guard;
+  ScopedEnv env_guard(kFaultVars);
   graph::RmatParams p;
   p.scale = 11;
   p.edge_factor = 8;
@@ -436,7 +414,7 @@ TEST(FaultEngine, GiveupMidWaveUnwindsThePipeline) {
     for (std::uint64_t seed = 1; seed <= 4; ++seed) {
       SCOPED_TRACE(::testing::Message()
                    << to_string(direction) << ", fault seed " << seed);
-      ::setenv("MLVC_DIRECTION", to_string(direction), 1);
+      ScopedEnv pin("MLVC_DIRECTION", to_string(direction));
       ssd::TempDir dir;
       ssd::DeviceConfig device;
       device.page_size = 4_KiB;
@@ -463,13 +441,12 @@ TEST(FaultEngine, GiveupMidWaveUnwindsThePipeline) {
         EXPECT_THROW(engine.run(), IoError);
       }
       storage.set_fault_injector(nullptr);
-      ::unsetenv("MLVC_DIRECTION");
     }
   }
 }
 
 TEST(FaultEngine, CheckpointPublishIsAtomicAndReloadable) {
-  ScopedFaultEnv env_guard;
+  ScopedEnv env_guard(kFaultVars);
   const auto csr = fault_graph();
   Rig<apps::Bfs> rig(csr, apps::Bfs{.source = 0});
   int steps = 0;
@@ -491,7 +468,7 @@ TEST(FaultEngine, CheckpointPublishIsAtomicAndReloadable) {
 }
 
 TEST(FaultEngine, CorruptCheckpointIsRejectedWithoutPartialRestore) {
-  ScopedFaultEnv env_guard;
+  ScopedEnv env_guard(kFaultVars);
   const auto csr = fault_graph();
   Rig<apps::Bfs> rig(csr, apps::Bfs{.source = 0});
   rig.engine.run();
@@ -519,7 +496,7 @@ TEST(FaultEngine, CorruptCheckpointIsRejectedWithoutPartialRestore) {
 TEST(FaultEngine, CheckpointSurvivesStorageReopen) {
   // Cross-"process" recovery: a second Storage over the same directory must
   // find the checkpoint through the on-disk fallback and restore it.
-  ScopedFaultEnv env_guard;
+  ScopedEnv env_guard(kFaultVars);
   const auto csr = fault_graph();
   Rig<apps::Bfs> rig(csr, apps::Bfs{.source = 0});
   rig.engine.run();
@@ -568,7 +545,7 @@ std::string backend_name(
 }
 
 TEST_P(FaultBackend, TransientProfileIsAbsorbed) {
-  ScopedFaultEnv env_guard;
+  ScopedEnv env_guard(kFaultVars);
   ssd::TempDir dir;
   ssd::Storage storage(dir.path());
   select_backend(storage);
@@ -592,7 +569,7 @@ TEST_P(FaultBackend, TransientProfileIsAbsorbed) {
 }
 
 TEST_P(FaultBackend, ShortIoProfileIsAbsorbed) {
-  ScopedFaultEnv env_guard;
+  ScopedEnv env_guard(kFaultVars);
   ssd::TempDir dir;
   ssd::Storage storage(dir.path());
   select_backend(storage);
@@ -623,7 +600,7 @@ TEST_P(FaultBackend, ShortIoProfileIsAbsorbed) {
 }
 
 TEST_P(FaultBackend, GiveupProfileEscalatesAsTypedIoError) {
-  ScopedFaultEnv env_guard;
+  ScopedEnv env_guard(kFaultVars);
   ssd::TempDir dir;
   ssd::Storage storage(dir.path());
   select_backend(storage);
@@ -642,7 +619,7 @@ TEST_P(FaultBackend, GiveupProfileEscalatesAsTypedIoError) {
 }
 
 TEST_P(FaultBackend, EngineRunUnderMixedFaultsMatchesClean) {
-  ScopedFaultEnv env_guard;
+  ScopedEnv env_guard(kFaultVars);
   const auto csr = fault_graph();
   Rig<apps::Bfs> clean(csr, apps::Bfs{.source = 0});
   clean.engine.run();

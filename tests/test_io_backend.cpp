@@ -15,37 +15,10 @@
 #include "ssd/io_backend.hpp"
 #include "ssd/storage.hpp"
 #include "ssd/uring_io.hpp"
+#include "tests/test_util.hpp"
 
 namespace mlvc {
 namespace {
-
-/// Pin one environment variable for a test, restoring the outer value on
-/// exit (CI re-runs this suite with MLVC_IO_BACKEND set).
-class ScopedEnv {
- public:
-  ScopedEnv(const char* var, const char* value) : var_(var) {
-    const char* old = std::getenv(var);
-    had_ = old != nullptr;
-    if (had_) old_ = old;
-    if (value != nullptr) {
-      ::setenv(var, value, 1);
-    } else {
-      ::unsetenv(var);
-    }
-  }
-  ~ScopedEnv() {
-    if (had_) {
-      ::setenv(var_.c_str(), old_.c_str(), 1);
-    } else {
-      ::unsetenv(var_.c_str());
-    }
-  }
-
- private:
-  std::string var_;
-  std::string old_;
-  bool had_;
-};
 
 TEST(IoBackendKind, ParseAcceptsAliasesAndRejectsJunk) {
   using ssd::IoBackendKind;

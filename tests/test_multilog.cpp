@@ -1099,7 +1099,7 @@ TEST(Predictor, DepthZeroNeverPredicts) {
 // ---- PageUtilTracker -------------------------------------------------------
 
 TEST(PageUtil, ClassifiesInefficientPages) {
-  PageUtilTracker tracker(4096, 0.10);
+  PageUtilTracker tracker(4096);
   tracker.record(1, 0, 100);    // 2.4% -> inefficient
   tracker.record(1, 1, 2000);   // 48%  -> fine
   tracker.record(1, 2, 300);    // 7.3% -> inefficient
@@ -1110,7 +1110,7 @@ TEST(PageUtil, ClassifiesInefficientPages) {
 }
 
 TEST(PageUtil, AccumulatesWithinSuperstep) {
-  PageUtilTracker tracker(4096, 0.10);
+  PageUtilTracker tracker(4096);
   tracker.record(1, 0, 200);
   tracker.record(1, 0, 300);  // same page: 500 bytes total -> 12%, fine
   const auto s = tracker.finish_superstep();
@@ -1118,7 +1118,7 @@ TEST(PageUtil, AccumulatesWithinSuperstep) {
 }
 
 TEST(PageUtil, PredictsFromPreviousSuperstep) {
-  PageUtilTracker tracker(4096, 0.10);
+  PageUtilTracker tracker(4096);
   tracker.record(1, 7, 50);
   tracker.finish_superstep();
   EXPECT_TRUE(tracker.was_inefficient(1, 7));

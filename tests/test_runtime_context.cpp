@@ -435,6 +435,20 @@ TEST(RuntimeContext, FinishedQueriesReleaseTheirBlobs) {
   reader.load_checkpoint("kept");
 }
 
+TEST(RuntimeContext, HonorsStorageEnvOverrides) {
+  // A default-constructed context resolves the storage rows of the env
+  // table like a raw Storage and a one-shot engine do, so the CI uring and
+  // fault legs reach context mode too.
+  const bool uring = ssd::shared_io_backend_probe().uring_available;
+  ScopedEnv retries("MLVC_FAULT_RETRIES", "9");
+  ScopedEnv backend("MLVC_IO_BACKEND", uring ? "uring" : nullptr);
+  ssd::TempDir dir;
+  core::RuntimeContext ctx(dir.path());
+  EXPECT_EQ(ctx.storage().retry_policy().max_attempts, 9u);
+  EXPECT_EQ(ctx.io_backend(), uring ? ssd::IoBackendKind::kUring
+                                    : ssd::IoBackendKind::kThreadPool);
+}
+
 // ---- snapshot isolation over checkpoints -----------------------------------
 
 TEST(RuntimeContext, CheckpointSnapshotIsolationAcrossPublish) {

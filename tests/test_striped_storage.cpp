@@ -28,37 +28,10 @@
 namespace mlvc {
 namespace {
 
-/// Scrub the stripe env overrides for the test's duration — Storage
-/// construction reads MLVC_DEVICES/MLVC_STRIPE_UNIT, and a CI matrix leg
-/// exporting them must not change what these tests assert.
-class ScopedStripeEnv {
- public:
-  ScopedStripeEnv() {
-    save("MLVC_DEVICES", devices_);
-    save("MLVC_STRIPE_UNIT", unit_);
-    ::unsetenv("MLVC_DEVICES");
-    ::unsetenv("MLVC_STRIPE_UNIT");
-  }
-  ~ScopedStripeEnv() {
-    restore("MLVC_DEVICES", devices_);
-    restore("MLVC_STRIPE_UNIT", unit_);
-  }
-
- private:
-  static void save(const char* name, std::optional<std::string>& slot) {
-    if (const char* v = std::getenv(name)) slot = v;
-  }
-  static void restore(const char* name,
-                      const std::optional<std::string>& slot) {
-    if (slot) {
-      ::setenv(name, slot->c_str(), 1);
-    } else {
-      ::unsetenv(name);
-    }
-  }
-  std::optional<std::string> devices_;
-  std::optional<std::string> unit_;
-};
+/// Storage construction reads MLVC_DEVICES/MLVC_STRIPE_UNIT; a CI matrix
+/// leg exporting them must not change what these tests assert.
+const std::vector<const char*> kStripeVars = {"MLVC_DEVICES",
+                                              "MLVC_STRIPE_UNIT"};
 
 ssd::DeviceConfig striped_config(unsigned devices,
                                  std::size_t unit = 16_KiB,
@@ -124,7 +97,7 @@ TEST(StripeMapping, SegmentsTileTheRangeExactlyOnce) {
 // ---- byte identity vs single file ------------------------------------------
 
 TEST(StripedStorage, RoundTripMatchesSingleFile) {
-  ScopedStripeEnv env;
+  ScopedEnv env(kStripeVars);
   const auto data = pattern_bytes(700 * 1024 + 333, 42);
 
   ssd::TempDir flat_dir;
@@ -161,7 +134,7 @@ TEST(StripedStorage, RoundTripMatchesSingleFile) {
 }
 
 TEST(StripedStorage, AppendTruncateMatchReferenceBuffer) {
-  ScopedStripeEnv env;
+  ScopedEnv env(kStripeVars);
   ssd::TempDir dir;
   ssd::Storage storage(dir.path(), striped_config(3, 8_KiB));
   ssd::Blob& blob = storage.create_blob("log", ssd::IoCategory::kMessageLog);
@@ -186,7 +159,7 @@ TEST(StripedStorage, AppendTruncateMatchReferenceBuffer) {
 }
 
 TEST(StripedStorage, ReopenReconstructsSizeAndBytes) {
-  ScopedStripeEnv env;
+  ScopedEnv env(kStripeVars);
   ssd::TempDir dir;
   const auto data = pattern_bytes(200 * 1024 + 11, 9);
   {
@@ -209,7 +182,7 @@ TEST(StripedStorage, ReopenReconstructsSizeAndBytes) {
 // ---- manifest versioning & v1 compatibility --------------------------------
 
 TEST(StripeManifest, V1StoreWithoutManifestOpensSingleDevice) {
-  ScopedStripeEnv env;
+  ScopedEnv env(kStripeVars);
   ssd::TempDir dir;
   const auto data = pattern_bytes(50 * 1024, 3);
   {
@@ -228,7 +201,7 @@ TEST(StripeManifest, V1StoreWithoutManifestOpensSingleDevice) {
 }
 
 TEST(StripeManifest, EnvCreatesStripedStoreOnFreshDir) {
-  ScopedStripeEnv env;
+  ScopedEnv env(kStripeVars);
   ::setenv("MLVC_DEVICES", "2", 1);
   ::setenv("MLVC_STRIPE_UNIT", "32768", 1);
   ssd::TempDir dir;
@@ -242,7 +215,7 @@ TEST(StripeManifest, EnvCreatesStripedStoreOnFreshDir) {
 }
 
 TEST(StripeManifest, UnknownVersionIsATypedError) {
-  ScopedStripeEnv env;
+  ScopedEnv env(kStripeVars);
   ssd::TempDir dir;
   ssd::StripeManifest m;
   m.version = 99;
@@ -255,7 +228,7 @@ TEST(StripeManifest, UnknownVersionIsATypedError) {
 // ---- per-device rings under concurrency (TSan scope) -----------------------
 
 TEST(StripedStorage, ConcurrentReadBatchesAreIsolatedPerDevice) {
-  ScopedStripeEnv env;
+  ScopedEnv env(kStripeVars);
   ssd::TempDir dir;
   ssd::Storage storage(dir.path(), striped_config(4));
   // uring if the kernel allows, else the threadpool path — the isolation
@@ -310,7 +283,7 @@ TEST(StripedStorage, ConcurrentReadBatchesAreIsolatedPerDevice) {
 // ---- faults on striped stores ----------------------------------------------
 
 TEST(StripedStorage, GiveUpRaisesTypedIoErrorNamingADeviceFile) {
-  ScopedStripeEnv env;
+  ScopedEnv env(kStripeVars);
   ssd::TempDir dir;
   ssd::Storage storage(dir.path(), striped_config(4));
   ssd::RetryPolicy fast;
@@ -356,7 +329,7 @@ TEST(DeviceModelStriped, ChannelGroupsComeFromTheDeviceId) {
 }
 
 TEST(DeviceModelStriped, StripedReadsModelFasterThanSingleDevice) {
-  ScopedStripeEnv env;
+  ScopedEnv env(kStripeVars);
   const auto data = pattern_bytes(4 * 1024 * 1024, 77);
   const auto modeled = [&](unsigned ndev) {
     ssd::TempDir dir;
@@ -405,7 +378,7 @@ std::vector<typename App::Value> run_striped(const graph::CsrGraph& csr,
 }
 
 TEST(StripedEngineMatrix, BfsAndWccAreExactAcrossTheMatrix) {
-  ScopedStripeEnv env;
+  ScopedEnv env(kStripeVars);
   const auto csr = stripe_graph();
   const auto bfs_ref =
       run_striped(csr, apps::Bfs{.source = 3}, 1, /*pipeline=*/true);
@@ -425,7 +398,7 @@ TEST(StripedEngineMatrix, BfsAndWccAreExactAcrossTheMatrix) {
 }
 
 TEST(StripedEngineMatrix, PageRankMatchesWithinFloatTolerance) {
-  ScopedStripeEnv env;
+  ScopedEnv env(kStripeVars);
   const auto csr = stripe_graph();
   const auto ref = run_striped(csr, apps::PageRank{}, 1, /*pipeline=*/true);
   for (unsigned devices : {2u, 4u}) {

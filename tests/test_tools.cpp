@@ -10,6 +10,7 @@
 #include "graph/generators.hpp"
 #include "graph/stored_csr.hpp"
 #include "ssd/storage.hpp"
+#include "tests/test_util.hpp"
 
 namespace mlvc {
 namespace {
@@ -261,6 +262,38 @@ TEST(Tools, ServeMixedSchedulePolicies) {
   EXPECT_NE(run_tool(std::string(MLVC_TOOL_SERVE) + " --graph " + graph +
                      " --script " + script),
             0);
+}
+
+TEST(Tools, RunFlagsBeatEnv) {
+  // One precedence for every table flag: the flag the user gives beats its
+  // MLVC_* variable, which beats the code default.
+  ssd::TempDir dir;
+  const std::string graph = (dir.path() / "g.mlvc").string();
+  ASSERT_EQ(run_tool(std::string(MLVC_TOOL_GEN) +
+                     " --type rmat --scale 9 --edge-factor 6 --out " + graph),
+            0);
+  const bool uring = ssd::shared_io_backend_probe().uring_available;
+  ScopedEnv backend("MLVC_IO_BACKEND", "threadpool");
+  ScopedEnv staging("MLVC_SCATTER_STAGING", "64");
+  // The run would throw on this value if it read it instead of --io-depth.
+  ScopedEnv depth("MLVC_URING_DEPTH", "junk");
+  const std::string json = (dir.path() / "stats.json").string();
+  ASSERT_EQ(run_tool(std::string(MLVC_TOOL_RUN) + " --graph " + graph +
+                     " --app bfs --budget 1M --page-size 4K --staging 0" +
+                     " --io-depth 8" + (uring ? " --io-backend uring" : "") +
+                     " --json " + json),
+            0);
+  std::ifstream in(json);
+  std::stringstream buf;
+  buf << in.rdbuf();
+  const std::string out = buf.str();
+  // --staging 0 is the per-record locked append: no staging flushes.
+  const auto at = out.find("\"scatter_flush_count\":", out.find("\"totals\""));
+  ASSERT_NE(at, std::string::npos) << out;
+  EXPECT_EQ(out.compare(at, 24, "\"scatter_flush_count\":0,"), 0) << out;
+  if (uring) {
+    EXPECT_NE(out.find("\"io_backend\":\"uring\""), std::string::npos) << out;
+  }
 }
 
 TEST(Tools, EveryAppRunsOnEveryEngine) {

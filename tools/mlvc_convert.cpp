@@ -8,13 +8,13 @@
 //   mlvc_convert --store run_dir --stats
 //   mlvc_convert --store run_dir --out-store run_dir_v2 --format v2
 //   mlvc_convert --store run_dir --out-store run_dir_x4 --devices 4
-#include <cstdlib>
 #include <filesystem>
 #include <iomanip>
 #include <iostream>
 #include <memory>
 
 #include "common/args.hpp"
+#include "common/env.hpp"
 #include "graph/csr.hpp"
 #include "graph/graph_stats.hpp"
 #include "graph/serialization.hpp"
@@ -116,45 +116,19 @@ int store_mode(const ArgParser& args) {
     std::cerr << "store mode needs --stats or --out-store\n";
     return 2;
   }
-  OnDiskFormat format = src->format();
-  const std::string format_arg = args.get_string("format", "-");
-  if (format_arg != "-" &&
-      !parse_on_disk_format(format_arg.c_str(), &format)) {
-    std::cerr << "unknown --format '" << format_arg << "' (v1 | v2)\n";
-    return 2;
-  }
-
-  // Restripe: the out-store is created with the requested device count /
-  // stripe unit, so every blob written below lands striped. (The source
-  // store's own layout is read back through its manifest; no flag needed.)
-  ssd::DeviceConfig out_device;
-  const std::string devices_arg = args.get_string("devices", "-");
-  if (devices_arg != "-") {
-    out_device.num_devices =
-        static_cast<unsigned>(std::strtoul(devices_arg.c_str(), nullptr, 10));
-    if (out_device.num_devices == 0) {
-      std::cerr << "--devices must be >= 1\n";
-      return 2;
-    }
-    // Pin: Storage construction re-reads MLVC_DEVICES, and env must not
-    // override an explicit flag.
-    setenv("MLVC_DEVICES", devices_arg.c_str(), /*overwrite=*/1);
-  }
-  const std::string stripe_arg = args.get_string("stripe", "-");
-  if (stripe_arg != "-") {
-    out_device.stripe_unit_bytes =
-        static_cast<std::size_t>(args.get_bytes("stripe", 128_KiB));
-    setenv("MLVC_STRIPE_UNIT",
-           std::to_string(out_device.stripe_unit_bytes).c_str(),
-           /*overwrite=*/1);
-  }
+  const OnDiskFormat format =
+      env::get_enum<OnDiskFormat>(env::kFormat, parse_on_disk_format)
+          .value_or(src->format());
 
   // Rebuild in memory and materialize under the new format with the same
   // interval boundaries, so engine runs over the converted store partition
   // identically.
   const auto list = read_back(*src);
   const auto csr = graph::CsrGraph::from_edge_list(list);
-  ssd::Storage out_storage{std::filesystem::path(out_dir), out_device};
+  // Restripe: the out-store is fresh, so it takes the device count and
+  // stripe unit MLVC_DEVICES / MLVC_STRIPE_UNIT (or --devices / --stripe)
+  // name. The source store's own layout comes from its manifest.
+  ssd::Storage out_storage{std::filesystem::path(out_dir)};
   const bool transpose = args.get_int("transpose", 1) != 0;
   graph::StoredCsrGraph converted(out_storage, prefix, csr, src->intervals(),
                                   {.with_weights = src->has_weights(),
@@ -209,13 +183,16 @@ int main(int argc, char** argv) {
       .option("out-store", "write a converted copy of --store here", "-")
       .option("format",
               "target on-disk format for --out-store: v1 | v2 "
-              "(default keeps the source's)",
+              "(default MLVC_FORMAT, else the source's)",
               "-")
       .option("devices",
               "restripe --out-store across this many devices (default "
               "MLVC_DEVICES or 1)",
               "-")
-      .option("stripe", "stripe unit bytes for --out-store, e.g. 128K", "-")
+      .option("stripe",
+              "stripe unit bytes for --out-store, e.g. 128K (default "
+              "MLVC_STRIPE_UNIT or 128K)",
+              "-")
       .option("transpose",
               "store the in-edge CSR in --out-store for pull execution: "
               "1 | 0 (conversion is also how a v1-era store gains one)",
@@ -228,6 +205,7 @@ int main(int argc, char** argv) {
   }
 
   try {
+    env::pin_flags(args);  // --format, --devices, --stripe beat env
     if (args.get_string("store", "-") != "-") return store_mode(args);
     return text_mode(args);
   } catch (const std::exception& e) {

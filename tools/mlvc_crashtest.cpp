@@ -41,6 +41,7 @@
 #include "apps/bfs.hpp"
 #include "apps/pagerank.hpp"
 #include "common/args.hpp"
+#include "common/env.hpp"
 #include "core/engine.hpp"
 #include "graph/generators.hpp"
 #include "ssd/fault_injector.hpp"
@@ -49,9 +50,9 @@ namespace {
 
 using namespace mlvc;
 
-constexpr const char* kFaultEnvVars[] = {
-    "MLVC_FAULT_PROFILE", "MLVC_FAULT_RATE", "MLVC_FAULT_SEED",
-    "MLVC_FAULT_CRASH_AFTER"};
+constexpr const env::Var* kFaultVars[] = {
+    &env::kFaultProfile, &env::kFaultRate, &env::kFaultSeed,
+    &env::kFaultCrashAfter};
 
 // The fixed crashtest workload: a small power-law graph, budget tight
 // enough that logs and values live on storage.
@@ -70,6 +71,11 @@ graph::CsrGraph make_graph() {
 /// cover (same-wave redelivery appends to the log generations the crash
 /// tears).
 SchedulePolicy g_schedule = SchedulePolicy::kBsp;
+
+/// The driver's --schedule, forwarded to every child only when the user
+/// gave it: without it the children keep the inherited MLVC_SCHEDULE (the
+/// CI hub-degree leg) and the synchronous model.
+std::vector<std::string> g_child_flags;
 
 core::EngineOptions crashtest_options() {
   core::EngineOptions opts;
@@ -181,19 +187,21 @@ struct ChildEnv {
   std::uint64_t crash_after = 0;
 };
 
-/// fork + execv this binary with `args`; victim children additionally get
-/// the MLVC_FAULT_* environment, other modes run with it scrubbed.
-int spawn(const std::vector<std::string>& args, const ChildEnv* env) {
+/// fork + execv this binary with `args` plus g_child_flags; victim children
+/// additionally get the MLVC_FAULT_* environment, other modes run with it
+/// scrubbed.
+int spawn(std::vector<std::string> args, const ChildEnv* faults) {
+  args.insert(args.end(), g_child_flags.begin(), g_child_flags.end());
   const pid_t pid = ::fork();
   if (pid < 0) throw IoError("fork", "mlvc_crashtest", errno);
   if (pid == 0) {
-    for (const char* var : kFaultEnvVars) ::unsetenv(var);
-    if (env != nullptr) {
-      ::setenv("MLVC_FAULT_PROFILE", env->profile.c_str(), 1);
-      ::setenv("MLVC_FAULT_SEED", std::to_string(env->seed).c_str(), 1);
-      ::setenv("MLVC_FAULT_RATE", std::to_string(env->rate).c_str(), 1);
-      ::setenv("MLVC_FAULT_CRASH_AFTER",
-               std::to_string(env->crash_after).c_str(), 1);
+    for (const env::Var* var : kFaultVars) env::set(*var, nullptr);
+    if (faults != nullptr) {
+      env::set(env::kFaultProfile, faults->profile.c_str());
+      env::set(env::kFaultSeed, std::to_string(faults->seed).c_str());
+      env::set(env::kFaultRate, std::to_string(faults->rate).c_str());
+      env::set(env::kFaultCrashAfter,
+               std::to_string(faults->crash_after).c_str());
     }
     std::vector<char*> argv;
     argv.reserve(args.size() + 1);
@@ -273,11 +281,10 @@ CycleResult crash_cycle(const std::string& app, const std::string& profile,
                             std::to_string(seed) +
                             " crash-after=" + std::to_string(crash_after);
 
-  ChildEnv env{profile, seed, 0.02, crash_after};
+  const ChildEnv faults{profile, seed, 0.02, crash_after};
   const int victim = spawn({"mlvc_crashtest", "--mode", "victim", "--app", app,
-                            "--workdir", workdir.path().string(), "--schedule",
-                            to_string(g_schedule)},
-                           &env);
+                            "--workdir", workdir.path().string()},
+                           &faults);
   if (victim != ssd::kCrashExitCode && victim != 0 && victim != 3) {
     std::cout << "  [FAIL] " << label << ": victim exit " << victim
               << " (expected crash " << ssd::kCrashExitCode
@@ -288,8 +295,7 @@ CycleResult crash_cycle(const std::string& app, const std::string& profile,
   const auto recovered_path = workdir.path() / "recovered.bin";
   const int recover = spawn({"mlvc_crashtest", "--mode", "recover", "--app",
                              app, "--workdir", workdir.path().string(),
-                             "--out", recovered_path.string(), "--schedule",
-                             to_string(g_schedule)},
+                             "--out", recovered_path.string()},
                             nullptr);
   if (recover != 0) {
     std::cout << "  [FAIL] " << label << ": recover exit " << recover << "\n";
@@ -338,12 +344,10 @@ int run_sweep(std::uint64_t base_seed, unsigned crash_points) {
   ssd::TempDir bfs_work("mlvc_crashwork_bfs");
   ssd::TempDir pr_work("mlvc_crashwork_pr");
   if (spawn({"mlvc_crashtest", "--mode", "clean", "--app", "bfs", "--workdir",
-             bfs_work.path().string(), "--out", clean_bfs.string(),
-             "--schedule", to_string(g_schedule)},
+             bfs_work.path().string(), "--out", clean_bfs.string()},
             nullptr) != 0 ||
       spawn({"mlvc_crashtest", "--mode", "clean", "--app", "pagerank",
-             "--workdir", pr_work.path().string(), "--out", clean_pr.string(),
-             "--schedule", to_string(g_schedule)},
+             "--workdir", pr_work.path().string(), "--out", clean_pr.string()},
             nullptr) != 0) {
     std::cout << "  [FAIL] clean reference runs\n";
     return 1;
@@ -416,32 +420,19 @@ int main(int argc, char** argv) {
   }
 
   try {
+    // Flag beats env: --schedule and --devices become MLVC_SCHEDULE and
+    // MLVC_DEVICES for this process and, through the inherited environment,
+    // every forked child. Under --devices the victim's manifest makes the
+    // stripe layout durable, so the recover child re-opens the same stripe
+    // set even where a torn write left one device's file short.
+    env::pin_flags(args);
     const std::string sched_arg = args.get_string("schedule", "bsp");
     if (!parse_schedule_policy(sched_arg.c_str(), &g_schedule)) {
       std::cerr << "unknown --schedule '" << sched_arg
                 << "' (bsp | fifo | hub-degree | log-bytes)\n";
       return 2;
     }
-    // Pin the env form too so the engine's MLVC_SCHEDULE re-resolve cannot
-    // half-override an explicit request (same pattern as mlvc_run --format).
-    if (g_schedule != SchedulePolicy::kBsp) {
-      ::setenv("MLVC_SCHEDULE", to_string(g_schedule), 1);
-    }
-    // Striped-store mode: every Storage this process (and, via the
-    // inherited environment, every forked child) constructs resolves to an
-    // N-device stripe set. The victim's manifest makes the layout durable,
-    // so the recover child re-opens the same stripe set even where a torn
-    // write left one device's file short.
-    const std::string devices_arg = args.get_string("devices", "-");
-    if (devices_arg != "-") {
-      const unsigned n = static_cast<unsigned>(
-          std::strtoul(devices_arg.c_str(), nullptr, 10));
-      if (n == 0) {
-        std::cerr << "--devices must be >= 1\n";
-        return 2;
-      }
-      ::setenv("MLVC_DEVICES", devices_arg.c_str(), 1);
-    }
+    if (args.has("schedule")) g_child_flags = {"--schedule", sched_arg};
     const std::string mode = args.get_string("mode", "driver");
     if (mode != "driver") {
       return run_child_mode(mode, args.get_string("app", "bfs"),
@@ -450,7 +441,7 @@ int main(int argc, char** argv) {
     }
     // The driver controls the fault schedule per child; ambient MLVC_FAULT_*
     // (e.g. from a CI fault-matrix job) must not leak into clean runs.
-    for (const char* var : kFaultEnvVars) ::unsetenv(var);
+    for (const env::Var* var : kFaultVars) env::set(*var, nullptr);
     const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
     if (args.get_flag("sweep")) {
       return run_sweep(seed,
@@ -461,8 +452,7 @@ int main(int argc, char** argv) {
     const std::string app = args.get_string("app", "bfs");
     const auto clean_values = clean_dir.path() / "clean.bin";
     if (spawn({"mlvc_crashtest", "--mode", "clean", "--app", app, "--workdir",
-               work.path().string(), "--out", clean_values.string(),
-               "--schedule", to_string(g_schedule)},
+               work.path().string(), "--out", clean_values.string()},
               nullptr) != 0) {
       std::cerr << "clean reference run failed\n";
       return 1;

@@ -6,11 +6,11 @@
 //   mlvc_gen --type cf   --scale 16 --out cf.mlvc
 //   mlvc_gen --type grid --width 512 --height 512 --out grid.mlvc
 //   mlvc_gen --type rmat --scale 16 --out g.mlvc --store g_dir --devices 4
-#include <cstdlib>
 #include <filesystem>
 #include <iostream>
 
 #include "common/args.hpp"
+#include "common/env.hpp"
 #include "core/engine.hpp"
 #include "graph/generators.hpp"
 #include "graph/graph_stats.hpp"
@@ -36,8 +36,13 @@ int main(int argc, char** argv) {
               "-")
       .option("devices",
               "striped devices for --store (default MLVC_DEVICES or 1)", "-")
-      .option("stripe", "stripe unit bytes for --store, e.g. 128K", "-")
-      .option("format", "on-disk format for --store: v1 | v2", "-")
+      .option("stripe",
+              "stripe unit bytes for --store, e.g. 128K (default "
+              "MLVC_STRIPE_UNIT or 128K)",
+              "-")
+      .option("format",
+              "on-disk format for --store: v1 | v2 (default MLVC_FORMAT or v2)",
+              "-")
       .option("transpose",
               "also store the in-edge CSR for pull execution (--store): "
               "1 | 0",
@@ -50,6 +55,7 @@ int main(int argc, char** argv) {
   }
 
   try {
+    env::pin_flags(args);  // --devices, --stripe, --format beat env
     const std::string type = args.get_string("type", "rmat");
     const auto scale = static_cast<unsigned>(args.get_int("scale", 16));
     const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
@@ -94,34 +100,9 @@ int main(int argc, char** argv) {
     // striping path is exercised straight from the CLI).
     const std::string store_dir = args.get_string("store", "-");
     if (store_dir != "-") {
-      ssd::DeviceConfig device;
-      const std::string devices_arg = args.get_string("devices", "-");
-      if (devices_arg != "-") {
-        device.num_devices = static_cast<unsigned>(
-            std::strtoul(devices_arg.c_str(), nullptr, 10));
-        if (device.num_devices == 0) {
-          std::cerr << "--devices must be >= 1\n";
-          return 2;
-        }
-        setenv("MLVC_DEVICES", devices_arg.c_str(), /*overwrite=*/1);
-      }
-      const std::string stripe_arg = args.get_string("stripe", "-");
-      if (stripe_arg != "-") {
-        device.stripe_unit_bytes =
-            static_cast<std::size_t>(args.get_bytes("stripe", 128_KiB));
-        setenv("MLVC_STRIPE_UNIT",
-               std::to_string(device.stripe_unit_bytes).c_str(),
-               /*overwrite=*/1);
-      }
-      OnDiskFormat format =
+      const OnDiskFormat format =
           core::apply_env_overrides(core::EngineOptions{}).on_disk_format;
-      const std::string format_arg = args.get_string("format", "-");
-      if (format_arg != "-" &&
-          !parse_on_disk_format(format_arg.c_str(), &format)) {
-        std::cerr << "unknown --format '" << format_arg << "' (v1 | v2)\n";
-        return 2;
-      }
-      ssd::Storage storage{std::filesystem::path(store_dir), device};
+      ssd::Storage storage{std::filesystem::path(store_dir)};
       const auto in_degrees = csr.in_degrees();
       const auto intervals = graph::VertexIntervals::partition_by_in_degree(
           in_degrees, sizeof(multilog::Record<float>),

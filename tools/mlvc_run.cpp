@@ -3,7 +3,6 @@
 //   mlvc_run --graph g.mlvc --app bfs --source 0
 //   mlvc_run --graph g.mlvc --app cdlp --engine graphchi --budget 64M
 //   mlvc_run --graph g.mlvc --app pagerank --engine grafboost --supersteps 15
-#include <cstdlib>
 #include <fstream>
 #include <iostream>
 
@@ -18,13 +17,13 @@
 #include "apps/sssp.hpp"
 #include "apps/wcc.hpp"
 #include "common/args.hpp"
+#include "common/env.hpp"
 #include "core/engine.hpp"
 #include "grafboost/engine.hpp"
 #include "graph/serialization.hpp"
 #include "graphchi/engine.hpp"
 #include "metrics/json_export.hpp"
 #include "metrics/report.hpp"
-#include "ssd/io_backend.hpp"
 
 namespace {
 
@@ -38,15 +37,9 @@ struct RunConfig {
   std::size_t page_size;
   unsigned channels;
   std::string json_path;  // empty = no JSON dump
-  unsigned staging;       // produce-path staging depth (mlvc engine)
   std::size_t adj_cache;  // adjacency page-cache bytes (mlvc engine)
-  ssd::IoBackendKind io_backend;  // hot-path I/O substrate (mlvc engine)
-  unsigned io_depth;              // io_uring ring size
-  OnDiskFormat format;            // stored-CSR / message-log layout
-  core::ComputationModel model;   // message delivery (mlvc engine)
-  SchedulePolicy schedule;        // superstep-internal interval order (mlvc)
-  unsigned devices;               // striped backing devices for the store
-  std::size_t stripe_unit;        // stripe unit bytes (0 = default)
+  OnDiskFormat format;    // stored-CSR layout (MLVC_FORMAT or --format)
+  core::ComputationModel model;  // message delivery (mlvc engine)
 };
 
 /// Per-layer on-disk vs logical byte split — makes bytes/edge (and the v2
@@ -82,8 +75,6 @@ int run_app(const graph::CsrGraph& csr, App app, const RunConfig& cfg) {
   ssd::DeviceConfig device;
   device.page_size = cfg.page_size;
   device.num_channels = cfg.channels;
-  device.num_devices = cfg.devices;
-  if (cfg.stripe_unit > 0) device.stripe_unit_bytes = cfg.stripe_unit;
   ssd::Storage storage(workdir.path(), device);
 
   core::RunStats stats;
@@ -92,13 +83,8 @@ int run_app(const graph::CsrGraph& csr, App app, const RunConfig& cfg) {
     opts.memory_budget_bytes = cfg.budget;
     opts.max_supersteps = cfg.supersteps;
     opts.seed = cfg.seed;
-    opts.scatter_staging_records = cfg.staging;
     opts.adjacency_cache_bytes = cfg.adj_cache;
-    opts.io_backend = cfg.io_backend;
-    opts.io_queue_depth = cfg.io_depth;
-    opts.on_disk_format = cfg.format;
     opts.model = cfg.model;
-    opts.schedule_policy = cfg.schedule;
     graph::StoredCsrGraph stored(storage, "g", csr,
                                  core::partition_for_app<App>(csr, opts),
                                  {.with_weights = App::kNeedsWeights,
@@ -164,12 +150,19 @@ int main(int argc, char** argv) {
       .option("seed", "random seed", "1")
       .option("page-size", "modeled SSD page size", "16K")
       .option("channels", "modeled SSD channels", "8")
-      .option("staging", "produce-path staging depth in records, 0 = locked",
-              "64")
+      .option("staging",
+              "produce-path staging depth in records, 0 = locked (default "
+              "MLVC_SCATTER_STAGING or 64)",
+              "-")
       .option("adj-cache", "adjacency page-cache bytes, 0 = off", "0")
-      .option("io-backend", "threadpool | uring (falls back if unsupported)",
-              "threadpool")
-      .option("io-depth", "io_uring submission queue depth", "64")
+      .option("io-backend",
+              "threadpool | uring, falls back if unsupported (default "
+              "MLVC_IO_BACKEND or threadpool)",
+              "-")
+      .option("io-depth",
+              "io_uring submission queue depth (default MLVC_URING_DEPTH or "
+              "64)",
+              "-")
       .option("format", "on-disk layout: v1 | v2 (default MLVC_FORMAT or v2)",
               "-")
       .option("model", "message delivery: sync | async (mlvc engine)", "sync")
@@ -181,7 +174,10 @@ int main(int argc, char** argv) {
               "striped backing devices for the run's store "
               "(default MLVC_DEVICES or 1)",
               "-")
-      .option("stripe", "stripe unit bytes, e.g. 128K (striped stores)", "-")
+      .option("stripe",
+              "stripe unit bytes, e.g. 128K (default MLVC_STRIPE_UNIT or "
+              "128K)",
+              "-")
       .option("direction",
               "execution direction: push | pull | adaptive (default "
               "MLVC_DIRECTION or push; mlvc engine, sync model)",
@@ -195,77 +191,14 @@ int main(int argc, char** argv) {
   }
 
   try {
-    const std::string backend_arg =
-        args.get_string("io-backend", "threadpool");
-    const auto backend = ssd::parse_io_backend(backend_arg);
-    if (!backend) {
-      std::cerr << "unknown --io-backend '" << backend_arg
-                << "' (threadpool | uring)\n";
-      return 2;
-    }
-    // Resolve the MLVC_FORMAT env override first; --format wins over both
-    // it and the built-in default. (The engine re-applies env overrides at
-    // construction, but the stored CSR below needs the resolved value too.)
-    OnDiskFormat format =
+    // Flag beats env: every table flag given (--format, --schedule,
+    // --direction, --staging, --io-backend, --io-depth, --devices,
+    // --stripe) becomes its MLVC_* variable, which the engine and Storage
+    // resolve at construction. Resolving the engine rows once here also
+    // rejects a bad value before the graph loads.
+    env::pin_flags(args);
+    const OnDiskFormat format =
         core::apply_env_overrides(core::EngineOptions{}).on_disk_format;
-    const std::string format_arg = args.get_string("format", "-");
-    if (format_arg != "-") {
-      if (!parse_on_disk_format(format_arg.c_str(), &format)) {
-        std::cerr << "unknown --format '" << format_arg << "' (v1 | v2)\n";
-        return 2;
-      }
-      // The engine re-applies MLVC_FORMAT at construction; pin it so an
-      // explicit --format can't be half-overridden into a mixed config.
-      setenv("MLVC_FORMAT", to_string(format), /*overwrite=*/1);
-    }
-    // --schedule follows the same resolve-then-pin pattern as --format.
-    SchedulePolicy schedule =
-        core::apply_env_overrides(core::EngineOptions{}).schedule_policy;
-    const std::string schedule_arg = args.get_string("schedule", "-");
-    if (schedule_arg != "-") {
-      if (!parse_schedule_policy(schedule_arg.c_str(), &schedule)) {
-        std::cerr << "unknown --schedule '" << schedule_arg
-                  << "' (bsp | fifo | hub-degree | log-bytes)\n";
-        return 2;
-      }
-      setenv("MLVC_SCHEDULE", to_string(schedule), /*overwrite=*/1);
-    }
-    // --devices / --stripe: resolve-then-pin again, because Storage
-    // construction re-reads MLVC_DEVICES/MLVC_STRIPE_UNIT.
-    unsigned devices = 1;
-    if (const char* env = std::getenv("MLVC_DEVICES")) {
-      const unsigned n = static_cast<unsigned>(std::strtoul(env, nullptr, 10));
-      if (n > 0) devices = n;
-    }
-    const std::string devices_arg = args.get_string("devices", "-");
-    if (devices_arg != "-") {
-      devices =
-          static_cast<unsigned>(std::strtoul(devices_arg.c_str(), nullptr, 10));
-      if (devices == 0) {
-        std::cerr << "--devices must be >= 1\n";
-        return 2;
-      }
-      setenv("MLVC_DEVICES", devices_arg.c_str(), /*overwrite=*/1);
-    }
-    std::size_t stripe_unit = 0;
-    const std::string stripe_arg = args.get_string("stripe", "-");
-    if (stripe_arg != "-") {
-      stripe_unit = static_cast<std::size_t>(args.get_bytes("stripe", 0));
-      setenv("MLVC_STRIPE_UNIT", std::to_string(stripe_unit).c_str(),
-             /*overwrite=*/1);
-    }
-    // --direction: resolve-then-pin like --schedule; the engine re-reads
-    // MLVC_DIRECTION at construction.
-    const std::string direction_arg = args.get_string("direction", "-");
-    if (direction_arg != "-") {
-      DirectionMode direction;
-      if (!parse_direction_mode(direction_arg.c_str(), &direction)) {
-        std::cerr << "unknown --direction '" << direction_arg
-                  << "' (push | pull | adaptive)\n";
-        return 2;
-      }
-      setenv("MLVC_DIRECTION", to_string(direction), /*overwrite=*/1);
-    }
     const std::string model_arg = args.get_string("model", "sync");
     core::ComputationModel model;
     if (model_arg == "sync") {
@@ -286,15 +219,9 @@ int main(int argc, char** argv) {
         static_cast<unsigned>(args.get_int("channels", 8)),
         args.get_string("json", "-") == "-" ? std::string{}
                                             : args.get_string("json", "-"),
-        static_cast<unsigned>(args.get_int("staging", 64)),
         static_cast<std::size_t>(args.get_bytes("adj-cache", 0)),
-        *backend,
-        static_cast<unsigned>(args.get_int("io-depth", 64)),
         format,
         model,
-        schedule,
-        devices,
-        stripe_unit,
     };
     const auto source = static_cast<VertexId>(args.get_int("source", 0));
     const std::string app = args.get_string("app");

@@ -47,13 +47,13 @@
 #include "apps/sssp.hpp"
 #include "apps/wcc.hpp"
 #include "common/args.hpp"
+#include "common/env.hpp"
 #include "common/rng.hpp"
 #include "common/timer.hpp"
 #include "core/engine.hpp"
 #include "core/runtime_context.hpp"
 #include "graph/serialization.hpp"
 #include "metrics/json_export.hpp"
-#include "ssd/io_backend.hpp"
 
 namespace {
 
@@ -285,9 +285,14 @@ int main(int argc, char** argv) {
       .option("seed", "random seed (query gen + apps)", "1")
       .option("page-size", "modeled SSD page size", "16K")
       .option("channels", "modeled SSD channels", "8")
-      .option("io-backend", "threadpool | uring (falls back if unsupported)",
-              "threadpool")
-      .option("io-depth", "io_uring submission queue depth", "64")
+      .option("io-backend",
+              "threadpool | uring, falls back if unsupported (default "
+              "MLVC_IO_BACKEND or threadpool)",
+              "-")
+      .option("io-depth",
+              "io_uring submission queue depth (default MLVC_URING_DEPTH or "
+              "64)",
+              "-")
       .option("verify",
               "re-run distinct deterministic queries serially and compare "
               "value hashes (0/1)",
@@ -300,15 +305,9 @@ int main(int argc, char** argv) {
   }
 
   try {
-    const std::string backend_arg =
-        args.get_string("io-backend", "threadpool");
-    const auto backend = ssd::parse_io_backend(backend_arg);
-    if (!backend) {
-      std::cerr << "unknown --io-backend '" << backend_arg
-                << "' (threadpool | uring)\n";
-      return 2;
-    }
-
+    // --io-backend / --io-depth beat MLVC_IO_BACKEND / MLVC_URING_DEPTH,
+    // which the context resolves once for every query.
+    env::pin_flags(args);
     const auto csr = graph::load_csr(args.get_string("graph"));
 
     core::RuntimeContextOptions ctx_opts;
@@ -316,9 +315,6 @@ int main(int argc, char** argv) {
         static_cast<std::size_t>(args.get_bytes("page-size", 16_KiB));
     ctx_opts.device.num_channels =
         static_cast<unsigned>(args.get_int("channels", 8));
-    ctx_opts.io_backend = *backend;
-    ctx_opts.io_queue_depth =
-        static_cast<unsigned>(args.get_int("io-depth", 64));
     ctx_opts.memory_pool_bytes =
         static_cast<std::size_t>(args.get_bytes("pool", 256_MiB));
     ctx_opts.shared_cache_bytes =
@@ -332,7 +328,6 @@ int main(int argc, char** argv) {
     cfg.engine.seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
     cfg.engine.adjacency_cache_bytes =
         static_cast<std::size_t>(args.get_bytes("adj-quota", 0));
-    cfg.engine.io_backend = *backend;
     cfg.weights = csr.has_weights();
 
     ssd::TempDir workdir("mlvc_serve");
