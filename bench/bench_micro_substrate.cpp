@@ -191,79 +191,96 @@ BENCHMARK(BM_SortGroupAuto)
 
 // ---- produce-path scatter contention sweep ----------------------------------
 //
-// N producer threads hammer one MultiLogStore with random-destination
-// appends — the engine's scatter hot path. BM_ScatterAppendLocked is the
-// per-record interval-locked path; BM_ScatterAppendStaged batches through
-// per-thread staging buffers of the given depth, taking each interval lock
-// once per flushed chunk. The sweep crosses thread count × interval count ×
-// staging depth; at high contention (8 threads, 64 intervals) staged must
-// beat locked by well over 2x. Manual std::threads, so wall time is the
-// meaningful clock (UseRealTime).
-void scatter_append_bench(benchmark::State& state, std::int64_t depth) {
-  const auto threads = static_cast<unsigned>(state.range(0));
-  const auto n_intervals = static_cast<VertexId>(state.range(1));
-  constexpr std::int64_t kPerThread = 1 << 17;
+// N producer threads feed one MultiLogStore random-destination sends — the
+// engine's scatter hot path. BM_ScatterAppendLocked is the per-record
+// interval-locked append(). BM_ScatterAppendStaged is the engine's path:
+// each thread fills its own chunks with no lock and no shared state, then
+// the chunks commit in chunk order (MultiLogStore::commit groups them by
+// interval and appends in interval order). The sweep crosses thread count ×
+// interval count. Manual std::threads, so wall time is the meaningful clock
+// (UseRealTime).
+constexpr std::int64_t kScatterPerThread = 1 << 17;
+
+struct ScatterSetup {
   ssd::TempDir dir;
-  ssd::Storage storage(dir.path());
-  const auto intervals =
-      graph::VertexIntervals::uniform(n_intervals * 64, n_intervals);
-  multilog::MultiLogStore store(
-      storage, "bench", intervals,
-      {.record_size = 8,
-       .staging_records = static_cast<std::size_t>(depth)});
-  // Destinations are pregenerated so the timed region is the append path
-  // itself, not the RNG.
-  std::vector<std::vector<VertexId>> dsts(threads);
-  for (unsigned t = 0; t < threads; ++t) {
-    SplitMix64 rng(t + 1);
-    dsts[t].reserve(kPerThread);
-    for (std::int64_t k = 0; k < kPerThread; ++k) {
-      dsts[t].push_back(
-          static_cast<VertexId>(rng.next_below(n_intervals * 64)));
-    }
-  }
-  for (auto _ : state) {
-    std::vector<std::thread> workers;
-    workers.reserve(threads);
+  ssd::Storage storage{dir.path()};
+  graph::VertexIntervals intervals;
+  multilog::MultiLogStore store;
+  /// Destinations are pregenerated so the timed region is the produce path
+  /// itself, not the RNG.
+  std::vector<std::vector<VertexId>> dsts;
+
+  ScatterSetup(unsigned threads, VertexId n_intervals)
+      : intervals(graph::VertexIntervals::uniform(n_intervals * 64,
+                                                  n_intervals)),
+        store(storage, "bench", intervals, {.record_size = 8}),
+        dsts(threads) {
     for (unsigned t = 0; t < threads; ++t) {
-      workers.emplace_back([&, t] {
-        auto staging = store.make_staging();
-        std::uint32_t k = 0;
-        for (const VertexId dst : dsts[t]) {
-          multilog::append_record_staged<std::uint32_t>(store, staging, dst,
-                                                        k++);
-        }
-        store.flush_staging(staging);
-      });
+      SplitMix64 rng(t + 1);
+      dsts[t].reserve(kScatterPerThread);
+      for (std::int64_t k = 0; k < kScatterPerThread; ++k) {
+        dsts[t].push_back(
+            static_cast<VertexId>(rng.next_below(n_intervals * 64)));
+      }
     }
-    for (auto& w : workers) w.join();
   }
-  state.SetItemsProcessed(state.iterations() * threads * kPerThread);
+};
+
+template <typename Body>
+void run_producers(unsigned threads, Body&& body) {
+  std::vector<std::thread> workers;
+  workers.reserve(threads);
+  for (unsigned t = 0; t < threads; ++t) workers.emplace_back(body, t);
+  for (auto& w : workers) w.join();
 }
 
 void BM_ScatterAppendLocked(benchmark::State& state) {
-  scatter_append_bench(state, 0);
-}
-void BM_ScatterAppendStaged(benchmark::State& state) {
-  scatter_append_bench(state, state.range(2));
+  const auto threads = static_cast<unsigned>(state.range(0));
+  ScatterSetup setup(threads, static_cast<VertexId>(state.range(1)));
+  for (auto _ : state) {
+    run_producers(threads, [&](unsigned t) {
+      std::uint32_t k = 0;
+      for (const VertexId dst : setup.dsts[t]) {
+        multilog::append_record<std::uint32_t>(setup.store, dst, k++);
+      }
+    });
+  }
+  state.SetItemsProcessed(state.iterations() * threads * kScatterPerThread);
 }
 
-void ScatterSweepLocked(benchmark::internal::Benchmark* b) {
+void BM_ScatterAppendStaged(benchmark::State& state) {
+  constexpr std::int64_t kChunkRecords = 4096;
+  constexpr std::int64_t kChunksPerThread = kScatterPerThread / kChunkRecords;
+  const auto threads = static_cast<unsigned>(state.range(0));
+  ScatterSetup setup(threads, static_cast<VertexId>(state.range(1)));
+  // Thread t owns chunks [t * kChunksPerThread, (t + 1) * kChunksPerThread),
+  // reused across iterations as the engine reuses its send chunks.
+  std::vector<std::vector<multilog::Record<std::uint32_t>>> chunks(
+      threads * kChunksPerThread);
+  for (auto _ : state) {
+    run_producers(threads, [&](unsigned t) {
+      std::uint32_t k = 0;
+      for (std::int64_t c = 0; c < kChunksPerThread; ++c) {
+        auto& chunk = chunks[t * kChunksPerThread + c];
+        chunk.clear();
+        for (std::int64_t r = 0; r < kChunkRecords; ++r, ++k) {
+          chunk.push_back({setup.dsts[t][k], k});
+        }
+      }
+    });
+    multilog::commit_records<std::uint32_t>(setup.store, chunks);
+  }
+  state.SetItemsProcessed(state.iterations() * threads * kScatterPerThread);
+}
+
+void ScatterSweep(benchmark::internal::Benchmark* b) {
   for (std::int64_t threads : {1, 2, 4, 8}) {
     for (std::int64_t iv : {4, 64, 512}) b->Args({threads, iv});
   }
   b->UseRealTime();
 }
-void ScatterSweepStaged(benchmark::internal::Benchmark* b) {
-  for (std::int64_t threads : {1, 2, 4, 8}) {
-    for (std::int64_t iv : {4, 64, 512}) {
-      for (std::int64_t depth : {1, 16, 64}) b->Args({threads, iv, depth});
-    }
-  }
-  b->UseRealTime();
-}
-BENCHMARK(BM_ScatterAppendLocked)->Apply(ScatterSweepLocked);
-BENCHMARK(BM_ScatterAppendStaged)->Apply(ScatterSweepStaged);
+BENCHMARK(BM_ScatterAppendLocked)->Apply(ScatterSweep);
+BENCHMARK(BM_ScatterAppendStaged)->Apply(ScatterSweep);
 
 // ---- I/O-substrate sweep ----------------------------------------------------
 //

@@ -46,9 +46,6 @@ inline constexpr Var kSchedule{
 inline constexpr Var kDirection{
     "MLVC_DIRECTION", Kind::kEnum, "push|pull|adaptive", "direction",
     "Message direction; pull falls back to push with a reason. Default push."};
-inline constexpr Var kScatterStaging{
-    "MLVC_SCATTER_STAGING", Kind::kUnsigned, "integer >= 0", "staging",
-    "Produce-path staging depth; 0 = per-record locked append. Default 64."};
 inline constexpr Var kIoBackend{
     "MLVC_IO_BACKEND", Kind::kEnum, "threadpool|uring", "io-backend",
     "Hot-path I/O; uring falls back when the probe refuses it. Default "
@@ -158,7 +155,7 @@ inline constexpr Var kBenchServeConcurrency{
 
 /// The table: every row above, in README order.
 inline constexpr const Var* kVars[] = {
-    &kFormat, &kSchedule, &kDirection, &kScatterStaging, &kIoBackend,
+    &kFormat, &kSchedule, &kDirection, &kIoBackend,
     &kUringDepth, &kIoStrict, &kDevices, &kStripeUnit, &kFaultProfile,
     &kFaultRate, &kFaultSeed, &kFaultCrashAfter, &kFaultRetries,
     &kFaultRetryBaseUs, &kFaultTornRecovery, &kCsvDir, &kBenchDirectionScale,

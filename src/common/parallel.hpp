@@ -9,6 +9,7 @@
 #include <cstddef>
 #include <exception>
 #include <span>
+#include <utility>
 #include <vector>
 
 #ifdef _OPENMP
@@ -27,7 +28,7 @@ inline unsigned hardware_threads() {
 
 /// Index of the calling thread within the current parallel_for team:
 /// 0 .. hardware_threads() - 1, and 0 outside any parallel region. Used to
-/// index per-thread state (e.g. multi-log staging) without thread_local.
+/// index per-thread scratch without thread_local.
 inline unsigned thread_index() {
 #ifdef _OPENMP
   return static_cast<unsigned>(omp_get_thread_num());
@@ -36,33 +37,64 @@ inline unsigned thread_index() {
 #endif
 }
 
-/// Parallel for over [begin, end) with dynamic scheduling. Body must be
-/// thread-safe. Chunk size is tuned for skewed per-iteration cost (power-law
-/// vertex degrees make static partitioning badly unbalanced).
+namespace detail {
+
+/// The loop behind parallel_for and parallel_for_each: dynamic scheduling,
+/// `grain` iterations per hand-out, and no more threads than there are
+/// hand-outs — a loop of one hand-out runs inline, without a team.
 ///
 /// Exception-safe: an exception escaping an OpenMP parallel region is
 /// undefined behaviour (in practice std::terminate), so the first exception
 /// any iteration throws is captured and rethrown after the loop joins.
 template <typename Index, typename Body>
-void parallel_for(Index begin, Index end, Body&& body) {
+void parallel_loop(Index begin, Index end, long long grain, Body&& body) {
 #ifdef _OPENMP
-  std::exception_ptr first_error;
-#pragma omp parallel for schedule(dynamic, 256) shared(first_error)
-  for (long long i = static_cast<long long>(begin);
-       i < static_cast<long long>(end); ++i) {
-    try {
-      body(static_cast<Index>(i));
-    } catch (...) {
+  const long long n =
+      static_cast<long long>(end) - static_cast<long long>(begin);
+  const long long team = std::min<long long>(
+      (n + grain - 1) / grain, static_cast<long long>(hardware_threads()));
+  if (team > 1) {
+    std::exception_ptr first_error;
+#pragma omp parallel for schedule(dynamic, grain) num_threads(team) \
+    shared(first_error)
+    for (long long i = static_cast<long long>(begin);
+         i < static_cast<long long>(end); ++i) {
+      try {
+        body(static_cast<Index>(i));
+      } catch (...) {
 #pragma omp critical(mlvc_parallel_for_error)
-      {
-        if (!first_error) first_error = std::current_exception();
+        {
+          if (!first_error) first_error = std::current_exception();
+        }
       }
     }
+    if (first_error) std::rethrow_exception(first_error);
+    return;
   }
-  if (first_error) std::rethrow_exception(first_error);
 #else
-  for (Index i = begin; i < end; ++i) body(i);
+  (void)grain;
 #endif
+  for (Index i = begin; i < end; ++i) body(i);
+}
+
+}  // namespace detail
+
+/// Parallel for over [begin, end) with dynamic scheduling. Body must be
+/// thread-safe. Chunk size is tuned for skewed per-iteration cost (power-law
+/// vertex degrees make static partitioning badly unbalanced), so a loop of
+/// at most 256 iterations runs on one thread; use parallel_for_each for a
+/// few coarse tasks.
+template <typename Index, typename Body>
+void parallel_for(Index begin, Index end, Body&& body) {
+  detail::parallel_loop(begin, end, 256, std::forward<Body>(body));
+}
+
+/// Runs body(t) for every task t in [0, n), one task per hand-out: for a
+/// few coarse tasks (fixed chunks of a batch, one interval each) that must
+/// spread over the team. Each task runs on exactly one thread.
+template <typename Body>
+void parallel_for_each(std::size_t n, Body&& body) {
+  detail::parallel_loop(std::size_t{0}, n, 1, std::forward<Body>(body));
 }
 
 /// Split [0, n) into at most `max_chunks` contiguous chunks of roughly equal

@@ -14,11 +14,11 @@
 //   3. per interval, in loader-budget-bounded batches of active vertices:
 //      gather vertex values, load adjacency through the Graph Loader Unit
 //      (edge-log hits first, then page-coalesced CSR reads), run the
-//      application's ProcessVertex in parallel, route its SendUpdate()s
-//      through per-thread staging buffers into the produce-generation
-//      multi-log (flushed in chunks at batch end; for apps with a combine,
-//      folded per destination before they spill), apply the §V.C edge-log
-//      decision, scatter values back;
+//      application's ProcessVertex in parallel over fixed chunks of the
+//      batch, buffer each chunk's SendUpdate()s, commit them to the
+//      produce-generation multi-log in chunk order once the batch joins
+//      (for apps with a combine, folded per destination before they spill),
+//      append the §V.C edge-log entries in batch order, scatter values back;
 //   4. under the asynchronous model, redeliver: each interval whose produce
 //      log grew during the wave gets one drain-only chain, so same-wave
 //      sends arrive before the generation swap (§V.F);
@@ -342,9 +342,6 @@ class MultiLogVCEngine {
     IntervalId n_int = 0;
     read(&n_int, 4);
     MLVC_CHECK(n_int == graph_.intervals().count());
-    // Records staged by an aborted superstep must not flush into the
-    // rolled-back generations.
-    for (auto& ts : thread_state_) ts.staging.discard();
     store_.reset_all();
     std::vector<std::byte> bytes;
     std::uint64_t stored_log_bytes = 0;
@@ -464,17 +461,45 @@ class MultiLogVCEngine {
     return cache_reg_.slot();
   }
 
+ private:
+  /// Message counters of one send chunk or one superstep.
+  struct ProduceCounters {
+    std::uint64_t messages_produced = 0;
+    std::uint64_t edges_activated = 0;
+    /// §4e: record bytes not written because the destination interval
+    /// pulls next superstep.
+    std::uint64_t log_bytes_avoided = 0;
+
+    void add(const ProduceCounters& o) {
+      messages_produced += o.messages_produced;
+      edges_activated += o.edges_activated;
+      log_bytes_avoided += o.log_bytes_avoided;
+    }
+  };
+
+  /// One fixed chunk of a compute batch (kSendChunkVertices consecutive
+  /// active vertices, run by one thread in vertex order): its sends in send
+  /// order and its counters. Padded to a cache line so neighbouring chunks'
+  /// counters and send vectors don't share one.
+  struct alignas(64) SendChunk {
+    std::vector<Rec> sends;
+    ProduceCounters counters;
+  };
+
+ public:
   // ---- the vertex context passed to App::process --------------------------
   class Context {
    public:
     Context(MultiLogVCEngine& engine, VertexId v, Superstep superstep,
-            const AdjacencyBatch& batch, std::size_t slot, Value value)
+            const AdjacencyBatch& batch, std::size_t slot, Value value,
+            SendChunk& chunk)
         : engine_(engine),
           v_(v),
           superstep_(superstep),
           batch_(batch),
           slot_(slot),
-          value_(value) {}
+          value_(value),
+          chunk_(chunk) {}
 
     VertexId id() const { return v_; }
     Superstep superstep() const { return superstep_; }
@@ -501,14 +526,11 @@ class MultiLogVCEngine {
     }
 
     void send(VertexId dst, const Message& m) {
-      // Lock-free scatter: the record goes into this thread's staging area
-      // and the counters are thread-private; nothing shared is touched until
-      // a staged chunk flushes (buffer-full here, batch end in the engine).
-      auto& ts = engine_.thread_state_[thread_index()];
-      multilog::append_record_staged<Message>(engine_.store_, ts.staging, dst,
-                                              m);
-      ++ts.messages_produced;
-      ++ts.edges_activated;
+      // The record joins this vertex's chunk buffer; nothing shared is
+      // touched until the batch commits its chunks in order.
+      chunk_.sends.push_back(Rec{dst, m});
+      ++chunk_.counters.messages_produced;
+      ++chunk_.counters.edges_activated;
     }
     void send_to_all_neighbors(const Message& m) {
       if (engine_.capture_broadcasts_) {
@@ -522,15 +544,14 @@ class MultiLogVCEngine {
                              ? combine_messages(engine_.app_, broadcast_msg_, m)
                              : m;
         broadcast_set_ = true;
-        auto& ts = engine_.thread_state_[thread_index()];
         const auto& intervals = engine_.graph_.intervals();
         for (std::size_t i = 0; i < out_degree(); ++i) {
           const VertexId dst = out_edge(i);
           if (engine_.direction_next_[intervals.interval_of(dst)] != 0) {
             // The message logically exists — only its log record does not.
-            ++ts.messages_produced;
-            ++ts.edges_activated;
-            ts.log_bytes_avoided += sizeof(Rec);
+            ++chunk_.counters.messages_produced;
+            ++chunk_.counters.edges_activated;
+            chunk_.counters.log_bytes_avoided += sizeof(Rec);
           } else {
             send(dst, m);
           }
@@ -571,6 +592,7 @@ class MultiLogVCEngine {
     const AdjacencyBatch& batch_;
     std::size_t slot_;
     Value value_;
+    SendChunk& chunk_;
     Message broadcast_msg_{};
     bool deactivated_ = false;
     bool value_dirty_ = false;
@@ -583,6 +605,10 @@ class MultiLogVCEngine {
   /// Active-vertex batches the graph loader may run ahead of the one being
   /// computed (1 would be classic double buffering).
   static constexpr unsigned kBatchPrefetchDepth = 2;
+
+  /// Active vertices per send chunk: compute_batch hands each chunk to one
+  /// thread and commits the chunks' sends in chunk order.
+  static constexpr std::size_t kSendChunkVertices = 256;
 
   /// Common constructor. ctx == nullptr is the one-shot path (prefix
   /// "mlvc", engine mutates Storage-global knobs as before); ctx != nullptr
@@ -622,7 +648,6 @@ class MultiLogVCEngine {
                    .format = options_.on_disk_format,
                    .payload_varint = multilog::kPayloadVarint<Message>,
                    .buffer_budget_bytes = options_.log_buffer_budget(),
-                   .staging_records = options_.scatter_staging_records,
                    .async_io = async_io_.get(),
                    // Unique "q<id>" prefixes make an existing blob an id
                    // reuse bug; fail loudly instead of truncating it.
@@ -670,11 +695,6 @@ class MultiLogVCEngine {
       stats_.io_backend = ctx_->io_backend_name();
       stats_.query_id = query_id_;
     }
-    // One staging area + message counters per compute thread. Only
-    // parallel_for workers (and the main thread, index 0) call send();
-    // AsyncIo threads never do, so indexing by thread_index() is race-free.
-    thread_state_.resize(std::max(1u, hardware_threads()));
-    for (auto& ts : thread_state_) ts.staging = store_.make_staging();
     for (VertexId v = 0; v < graph_.num_vertices(); ++v) {
       if (app_.initially_active(v)) sticky_active_.set(v);
     }
@@ -820,13 +840,6 @@ class MultiLogVCEngine {
     structural_queue_.push_back(u);
   }
 
-  /// Flush every compute thread's staged records into the shared multi-log.
-  /// Must run on the main thread with no parallel region active (batch end,
-  /// before an asynchronous-mode drain, and at superstep close).
-  void flush_produce_staging() {
-    for (auto& ts : thread_state_) store_.flush_staging(ts.staging);
-  }
-
   bool pipeline_enabled() const noexcept { return async_io_ != nullptr; }
 
   /// One chain's grouped (and possibly combined) message input — the
@@ -868,11 +881,6 @@ class MultiLogVCEngine {
     GroupData g;
     g.begin = g_begin;
     g.end = g_end;
-    // The drain reads the produce logs, so records still parked in
-    // per-thread staging must be flushed first or earlier sends would be
-    // delivered a superstep late. Redelivery runs on the main thread after
-    // the sweep, with no parallel region active.
-    if (redeliver) flush_produce_staging();
     std::vector<std::byte> bytes;
     // Sends the produce-side fold absorbed: loaded records plus these are
     // the sends behind the logs. Drains report their sends directly.
@@ -1216,7 +1224,6 @@ class MultiLogVCEngine {
         });
 
     if (options_.model == ComputationModel::kAsynchronous) {
-      flush_produce_staging();
       std::vector<bool> redelivered(n, false);
       const auto scan_pending = [&] {
         for (IntervalId j = 0; j < n; ++j) {
@@ -1352,12 +1359,9 @@ class MultiLogVCEngine {
     const multilog::FoldStats fold_before = store_.fold_stats();
     WallTimer wall;
 
-    for (auto& ts : thread_state_) {
-      ts.messages_produced = 0;
-      ts.edges_activated = 0;
-      ts.log_bytes_avoided = 0;
-      ts.staging.reset_stats();
-    }
+    step_produce_ = {};
+    step_commits_ = 0;
+    step_commit_seconds_ = 0;
     DynamicBitset active_now(graph_.num_vertices());
 
     step_io_seconds_ = 0;
@@ -1369,22 +1373,7 @@ class MultiLogVCEngine {
     predictor_.observe(active_now);
     const auto util = util_tracker_.finish_superstep();
     apply_structural_updates();
-    // Every staged record must reach the shared top pages before the produce
-    // generation becomes readable. Batch-end flushes already did this for
-    // all compute; this is the safety barrier for the swap.
-    flush_produce_staging();
-    std::uint64_t messages_produced = 0;
-    std::uint64_t edges_activated = 0;
-    std::uint64_t log_bytes_avoided = 0;
-    std::uint64_t scatter_flush_count = 0;
-    double scatter_stall_seconds = 0;
-    for (auto& ts : thread_state_) {
-      messages_produced += ts.messages_produced;
-      edges_activated += ts.edges_activated;
-      log_bytes_avoided += ts.log_bytes_avoided;
-      scatter_flush_count += ts.staging.flush_count();
-      scatter_stall_seconds += ts.staging.stall_seconds();
-    }
+    const std::uint64_t messages_produced = step_produce_.messages_produced;
     {
       // swap_generations barriers any background eviction writes still
       // pending against the produce generation.
@@ -1407,9 +1396,9 @@ class MultiLogVCEngine {
 
     const multilog::FoldStats fold_after = store_.fold_stats();
     step.messages_produced = messages_produced;
-    step.edges_activated = edges_activated;
-    step.scatter_flush_count = scatter_flush_count;
-    step.scatter_stall_seconds = scatter_stall_seconds;
+    step.edges_activated = step_produce_.edges_activated;
+    step.scatter_flush_count = step_commits_;
+    step.scatter_stall_seconds = step_commit_seconds_;
     step.log_records_folded =
         fold_after.records_folded - fold_before.records_folded;
     step.fold_seconds = fold_after.seconds - fold_before.seconds;
@@ -1419,7 +1408,7 @@ class MultiLogVCEngine {
     step.total_wall_seconds = wall.elapsed_seconds();
     step.compute_wall_seconds = step_compute_seconds_;
     step.io_wall_seconds = step_io_seconds_;
-    step.log_bytes_avoided = log_bytes_avoided;
+    step.log_bytes_avoided = step_produce_.log_bytes_avoided;
     step.io = (ctx_ != nullptr ? query_io_.snapshot()
                                : storage.stats().snapshot()) -
               io_before;
@@ -1576,64 +1565,78 @@ class MultiLogVCEngine {
     edge_log_hits += adj.edge_log_hits;
     std::vector<std::uint8_t> deactivated(batch.size(), 0);
     std::vector<std::uint8_t> dirty(batch.size(), 0);
+    std::vector<std::uint8_t> log_edges(batch.size(), 0);
     std::vector<std::uint8_t> broadcast_flag;
     std::vector<Message> broadcast_msgs;
     if (capture_broadcasts_) {
       broadcast_flag.assign(batch.size(), 0);
       broadcast_msgs.resize(batch.size());
     }
+    const std::size_t n_chunks =
+        (batch.size() + kSendChunkVertices - 1) / kSendChunkVertices;
+    // The chunks live for this batch only: buffers kept across batches
+    // would each hold their largest batch's share, several batches' worth
+    // in all.
+    std::vector<SendChunk> chunks(n_chunks);
 
     std::optional<ScopedAccumulator> compute_time;
     compute_time.emplace(step_compute_seconds_);
-    parallel_for(std::size_t{0}, batch.size(), [&](std::size_t k) {
-      // parallel_for workers are OMP threads without the main thread's
-      // sink; reinstall it (two TLS writes) so in-loop storage traffic —
-      // edge-log appends, value spills — mirrors into the query view.
-      std::optional<ssd::IoStats::ScopedSink> sink;
-      if (ctx_ != nullptr) sink.emplace(&query_io_);
-      const ActiveVertex& av = batch[k];
-      Context ctx(*this, av.v, s, adj, k, vals[k]);
-      const MessageRange<Message> msgs = MessageRange<Message>::from_records(
-          std::span<const Rec>(records.data() + av.rec_begin, av.rec_count));
-      app_.process(ctx, msgs);
-      if (ctx.value_dirty()) {
-        vals[k] = ctx.current_value();
-        dirty[k] = 1;
-      }
-      deactivated[k] = ctx.deactivated() ? 1 : 0;
-      if (capture_broadcasts_ && ctx.broadcast_set()) {
-        broadcast_flag[k] = 1;
-        broadcast_msgs[k] = ctx.broadcast_message();
-      }
+    // The loop touches no storage (edge-log entries and value write-back
+    // wait for the post-pass), so workers need no I/O-stats sink.
+    parallel_for_each(n_chunks, [&](std::size_t c) {
+      SendChunk& chunk = chunks[c];
+      const std::size_t begin = c * kSendChunkVertices;
+      const std::size_t end =
+          std::min(batch.size(), begin + kSendChunkVertices);
+      // Push apps send about once per out-edge.
+      std::size_t edges = 0;
+      for (std::size_t k = begin; k < end; ++k) edges += adj.spans[k].length;
+      chunk.sends.reserve(edges);
+      for (std::size_t k = begin; k < end; ++k) {
+        const ActiveVertex& av = batch[k];
+        Context ctx(*this, av.v, s, adj, k, vals[k], chunk);
+        const MessageRange<Message> msgs = MessageRange<Message>::from_records(
+            std::span<const Rec>(records.data() + av.rec_begin, av.rec_count));
+        app_.process(ctx, msgs);
+        if (ctx.value_dirty()) {
+          vals[k] = ctx.current_value();
+          dirty[k] = 1;
+        }
+        deactivated[k] = ctx.deactivated() ? 1 : 0;
+        if (capture_broadcasts_ && ctx.broadcast_set()) {
+          broadcast_flag[k] = 1;
+          broadcast_msgs[k] = ctx.broadcast_message();
+        }
 
-      // §V.C edge-log decision: predicted active next superstep, edges came
-      // from an inefficiently used CSR page, and the vertex is low-degree
-      // enough that re-logging is worthwhile.
-      if (options_.enable_edge_log && !adj.from_edge_log[k] &&
-          adj.spans[k].length > 0 && predictor_.predict_active(av.v)) {
-        const double util = adj.start_page_util[k];
-        const double occupancy =
-            static_cast<double>(adj.spans[k].length * sizeof(VertexId)) /
-            static_cast<double>(graph_.storage().page_size());
-        if (util >= 0 && util < multilog::kInefficientPageUtil &&
-            occupancy < multilog::kInefficientPageUtil) {
-          const auto span = adj.spans[k];
-          edge_log_.log_edges(
-              av.v,
-              std::span<const VertexId>(adj.adjacency.data() + span.offset,
-                                        span.length),
-              App::kNeedsWeights
-                  ? std::span<const float>(adj.weights.data() + span.offset,
-                                           span.length)
-                  : std::span<const float>{});
+        // §V.C edge-log decision: predicted active next superstep, edges
+        // came from an inefficiently used CSR page, and the vertex is
+        // low-degree enough that re-logging is worthwhile. The post-pass
+        // appends the entries in batch order.
+        if (options_.enable_edge_log && !adj.from_edge_log[k] &&
+            adj.spans[k].length > 0 && predictor_.predict_active(av.v)) {
+          const double util = adj.start_page_util[k];
+          const double occupancy =
+              static_cast<double>(adj.spans[k].length * sizeof(VertexId)) /
+              static_cast<double>(graph_.storage().page_size());
+          log_edges[k] = util >= 0 && util < multilog::kInefficientPageUtil &&
+                         occupancy < multilog::kInefficientPageUtil;
         }
       }
     });
-    // Batch-end flush: the workers just joined, so their staged sends move
-    // to the shared top pages here, one interval-lock take per chunk. This
-    // is what makes staged records visible to produced_count (fusion
-    // planning) and to the next asynchronous-mode drain.
-    flush_produce_staging();
+    // The workers joined: commit the chunks' sends in chunk order, so every
+    // log stream is a function of the batch, not of the schedule. This is
+    // what makes them visible to produced_count (fusion planning) and to
+    // the next asynchronous-mode drain.
+    {
+      std::vector<std::span<const std::byte>> chunk_sends(n_chunks);
+      for (std::size_t c = 0; c < n_chunks; ++c) {
+        chunk_sends[c] = std::as_bytes(std::span(chunks[c].sends));
+        step_produce_.add(chunks[c].counters);
+      }
+      WallTimer commit_time;
+      step_commits_ += store_.commit(chunk_sends);
+      step_commit_seconds_ += commit_time.elapsed_seconds();
+    }
     compute_time.reset();
 
     // Serial post-pass: sticky bits, predictor input, values write-back.
@@ -1644,6 +1647,18 @@ class MultiLogVCEngine {
     {
       ScopedAccumulator io_time(step_io_seconds_);
       values_.write_back(data.ids, vals, dirty);
+      for (std::size_t k = 0; k < batch.size(); ++k) {
+        if (log_edges[k] == 0) continue;
+        const auto span = adj.spans[k];
+        edge_log_.log_edges(
+            batch[k].v,
+            std::span<const VertexId>(adj.adjacency.data() + span.offset,
+                                      span.length),
+            App::kNeedsWeights
+                ? std::span<const float>(adj.weights.data() + span.offset,
+                                         span.length)
+                : std::span<const float>{});
+      }
     }
     if (capture_broadcasts_) {
       // §4e: persist this batch's captured broadcasts (ascending vertex ids,
@@ -1740,10 +1755,9 @@ class MultiLogVCEngine {
   std::vector<std::uint64_t> hub_score_;
   RunStats stats_;
   /// Context mode: this query's private I/O view. Every storage-level
-  /// record made while this engine's ScopedSink is installed (main thread,
-  /// parallel_for workers, and AsyncIo threads via submit-time capture)
-  /// mirrors here, so step.io diffs stay per-query while other queries
-  /// hammer the same Storage.
+  /// record made while this engine's ScopedSink is installed (main thread
+  /// and AsyncIo threads via submit-time capture) mirrors here, so step.io
+  /// diffs stay per-query while other queries hammer the same Storage.
   ssd::IoStats query_io_;
   Superstep next_superstep_ = 0;
 
@@ -1753,19 +1767,11 @@ class MultiLogVCEngine {
   double step_io_seconds_ = 0;
   double step_compute_seconds_ = 0;
 
-  /// Per-compute-thread produce state, indexed by thread_index(): the
-  /// multi-log staging area plus message counters that replace the shared
-  /// atomics send() used to bump per record. Padded to a cache line so one
-  /// thread's counter writes don't bounce its neighbors' lines.
-  struct alignas(64) ThreadProduceState {
-    multilog::MultiLogStore::Staging staging;
-    std::uint64_t messages_produced = 0;
-    std::uint64_t edges_activated = 0;
-    /// §4e: record bytes this thread did NOT write because the destination
-    /// interval pulls next superstep.
-    std::uint64_t log_bytes_avoided = 0;
-  };
-  std::vector<ThreadProduceState> thread_state_;
+  /// Per-superstep produce totals, main thread only: the send chunks'
+  /// counters and the commits (MultiLogStore::commit) with their time.
+  ProduceCounters step_produce_;
+  std::uint64_t step_commits_ = 0;
+  double step_commit_seconds_ = 0;
   std::mutex structural_mutex_;
   std::vector<graph::StructuralUpdate> structural_queue_;
 };

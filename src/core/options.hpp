@@ -20,6 +20,11 @@ enum class ComputationModel {
   kAsynchronous,
 };
 
+/// No option picks the produce path: each compute batch commits its sends
+/// to the multi-log in vertex order once its threads join
+/// (MultiLogStore::commit), so a run's logs do not depend on the thread
+/// count or schedule, and at a fixed thread count neither do its values
+/// and modeled time.
 struct EngineOptions {
   /// Total host memory budget. The paper uses 1 GB against ~100 GB graphs;
   /// scale this down with graph size to keep the ratio (DESIGN.md §2).
@@ -96,15 +101,6 @@ struct EngineOptions {
   /// up to a power of two). Ignored by the thread-pool backend.
   unsigned io_queue_depth = 64;
 
-  /// Per-thread, per-interval staging depth (records) for the produce path:
-  /// send() appends into a thread-local buffer with no lock and no shared
-  /// atomics, flushing into the shared multi-log top page one chunk at a
-  /// time (on buffer-full, at batch end, and before asynchronous-mode
-  /// drains). 0 = the old per-record locked append. The
-  /// MLVC_SCATTER_STAGING environment variable, when set, overrides this
-  /// (CI uses it to pin the worst-case depth of 1).
-  unsigned scatter_staging_records = 64;
-
   /// Host-side CLOCK cache over CSR adjacency (colidx) pages, in bytes.
   /// 0 = no cache: every adjacency read hits storage (the out-of-core
   /// default, and what the paper's page-access counts assume).
@@ -157,15 +153,11 @@ struct EngineOptions {
 /// The engine rows of the env table (common/env.hpp) over `options`,
 /// applied by the engine at construction so every entry point (tools,
 /// tests, benches) honors them; a tool flag reaches them through
-/// env::pin_flags. CI re-runs the tier-1 suite under several of them:
-/// MLVC_SCATTER_STAGING=1 keeps the worst-case flush churn honest, the
+/// env::pin_flags. CI re-runs the tier-1 suite under several of them: the
 /// MLVC_FAULT_* rows tune retries and recovery under injected faults, and
 /// MLVC_IO_BACKEND, MLVC_FORMAT, MLVC_SCHEDULE and MLVC_DIRECTION switch
 /// the substrate, layout, order and direction under an unmodified suite.
 inline EngineOptions apply_env_overrides(EngineOptions options) {
-  if (auto n = env::get_unsigned(env::kScatterStaging)) {
-    options.scatter_staging_records = *n;
-  }
   if (auto on = env::get_bool(env::kFaultTornRecovery)) {
     options.torn_page_recovery = *on;
   }

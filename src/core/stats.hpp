@@ -49,19 +49,18 @@ struct SuperstepStats {
   std::uint64_t groups_scatter = 0;
   std::uint64_t groups_comparison = 0;
 
-  /// Produce-path staging (§V.A): chunks flushed from per-thread staging
-  /// buffers into the shared top pages, and the wall time those flushes
-  /// spent holding interval locks (the residual serialized section of the
-  /// scatter path — per-record locking made this the whole send cost).
+  /// Produce-path commits (§V.A): one per (compute batch, destination
+  /// interval) whose sends the batch committed to the multi-log
+  /// (MultiLogStore::commit), and the wall time spent committing — the
+  /// grouping, fold and encode, and the in-order append and eviction.
   std::uint64_t scatter_flush_count = 0;
   double scatter_stall_seconds = 0;
 
   /// Produce-side log fold (multilog/multilog_store.hpp; combinable apps
   /// with combining on, zero otherwise): sends the fold combined away
-  /// before they reached the log, and the CPU time it spent folding. The
-  /// fold runs outside the interval locks, so scatter_stall_seconds does
-  /// not include it. messages_produced and messages_consumed still count
-  /// sends.
+  /// before they reached the log, and the CPU time it spent folding (summed
+  /// over threads; scatter_stall_seconds includes its wall time).
+  /// messages_produced and messages_consumed still count sends.
   std::uint64_t log_records_folded = 0;
   double fold_seconds = 0;
 

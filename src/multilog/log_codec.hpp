@@ -15,7 +15,7 @@
 //                                                     record_size - 4 raw
 //                                                     bytes each
 //
-// Destinations within a staged chunk cluster (sends walk sorted adjacency
+// Destinations within a committed chunk cluster (sends walk sorted adjacency
 // lists), so the delta stream is short; incompressible payloads (floats)
 // keep their fixed width. Record order within a chunk is append order — the
 // decoder reproduces the exact record sequence of the v1 stream, so both

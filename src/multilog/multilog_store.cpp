@@ -5,6 +5,7 @@
 #include <cstring>
 
 #include "common/error.hpp"
+#include "common/parallel.hpp"
 #include "common/timer.hpp"
 #include "multilog/log_codec.hpp"
 
@@ -14,13 +15,32 @@ namespace {
 
 /// Per-thread fold scratch: an accumulator record and a presence bit per
 /// destination of the widest interval folded so far (the bitmap is all zero
-/// between folds), and a spare page the flushing thread swaps with an
-/// interval's full fold buffer. Grows to its high-water mark, then a fold
-/// allocates nothing.
+/// between folds). Grows to its high-water mark, then a fold allocates
+/// nothing.
 struct FoldScratch {
   std::vector<std::byte> acc;
   std::vector<std::uint64_t> present;
-  std::vector<std::byte> spare;
+};
+
+/// commit()'s scratch, one per call.
+struct CommitScratch {
+  /// Per (block, interval): the block's record count, then its cursor into
+  /// `grouped` while the block scatters.
+  std::vector<std::uint64_t> cursor;
+  /// Interval i's records are grouped[starts[i], starts[i + 1]).
+  std::vector<std::uint64_t> starts;
+  std::vector<std::byte> grouped;
+  std::vector<IntervalId> touched;  // intervals with records, ascending
+  /// Per touched interval: its stream bytes in arenas[arena].
+  struct Out {
+    unsigned arena = 0;
+    std::size_t offset = 0;
+    std::size_t len = 0;
+    std::uint64_t records = 0;
+    std::uint64_t sends = 0;
+  };
+  std::vector<Out> outs;
+  std::vector<std::vector<std::byte>> arenas;  // one per thread
 };
 
 FoldScratch& fold_scratch() {
@@ -72,19 +92,6 @@ MultiLogStore::MultiLogStore(ssd::Storage& storage, std::string prefix,
   } else {
     usable_page_bytes_ =
         (page_size_ / config_.record_size) * config_.record_size;
-  }
-  if (config_.staging_records > 0) {
-    staging_slot_bytes_ = config_.staging_records * config_.record_size;
-    if (config_.buffer_budget_bytes > 0) {
-      // Worst case one thread stages a full slot for every interval; keep
-      // that within the (advisory) log-buffer budget, but never below one
-      // record — a 1-deep slot still batches the interval_of hoist.
-      const std::size_t cap =
-          std::max<std::size_t>(config_.buffer_budget_bytes / n,
-                                config_.record_size);
-      staging_slot_bytes_ = std::min(staging_slot_bytes_, cap);
-      staging_slot_bytes_ -= staging_slot_bytes_ % config_.record_size;
-    }
   }
   if (config_.combine) {
     fold_page_bytes_ =
@@ -265,27 +272,15 @@ std::size_t MultiLogStore::fold_records(IntervalId i, std::byte* records,
   return out;
 }
 
-double MultiLogStore::fold_append(IntervalId i, const std::byte* records,
-                                  std::size_t n) {
-  Generation& gen = generations_[produce_index_];
+template <typename Emit>
+void MultiLogStore::fold_feed(IntervalId i, const std::byte* records,
+                              std::size_t n, Emit&& emit) {
   FoldBuffer& fb = fold_bufs_[i];
   const std::size_t rs = config_.record_size;
-  std::unique_lock<std::mutex> lock(*interval_locks_[i], std::defer_lock);
-  double held = 0;
-  WallTimer timer;
-  const auto acquire = [&] {
-    timer.reset();
-    lock.lock();
-  };
-  const auto release = [&] {
-    lock.unlock();
-    held += timer.elapsed_seconds();
-  };
-  acquire();
-  note_sends_locked(i, n);
+  const std::size_t cap = fold_page_bytes_ / rs;
   if (fb.buf.size() != fold_page_bytes_) fb.buf.resize(fold_page_bytes_);
   std::size_t len = n * rs;
-  while (true) {
+  while (len > 0) {
     const std::size_t take = std::min(len, fold_page_bytes_ - fb.fill);
     std::memcpy(fb.buf.data() + fb.fill, records, take);
     fb.fill += take;
@@ -293,36 +288,16 @@ double MultiLogStore::fold_append(IntervalId i, const std::byte* records,
     records += take;
     len -= take;
     if (fb.fill < fold_page_bytes_) break;
-    // Full: swap the buffer out and fold it with the lock released, so
-    // other producers keep appending to the fresh buffer meanwhile.
-    FoldScratch& s = fold_scratch();
-    s.spare.resize(fold_page_bytes_);
-    fb.buf.swap(s.spare);
-    const std::uint64_t sends = fb.sends;
+    const std::size_t kept = fold_records(i, fb.buf.data(), cap);
+    if (kept * 2 <= cap) {
+      // Few survivors: they stay and keep folding with later sends.
+      fb.fill = kept * rs;
+      continue;
+    }
+    emit(fb.buf.data(), kept, fb.sends);
     fb.fill = 0;
     fb.sends = 0;
-    release();
-    const std::size_t cap = fold_page_bytes_ / rs;
-    const std::size_t kept = fold_records(i, s.spare.data(), cap);
-    const std::size_t kept_bytes = kept * rs;
-    if (kept * 2 <= cap) {
-      // Few survivors: they go back and keep folding with later sends —
-      // unless concurrent producers refilled the buffer meanwhile.
-      acquire();
-      if (fb.fill + kept_bytes <= fold_page_bytes_) {
-        std::memcpy(fb.buf.data() + fb.fill, s.spare.data(), kept_bytes);
-        fb.fill += kept_bytes;
-        fb.sends += sends;
-        continue;
-      }
-      release();
-    }
-    const auto stream = stream_form(s.spare.data(), kept);
-    acquire();
-    append_stream_locked(gen, i, stream.data(), stream.size(), kept, sends);
   }
-  release();
-  return held;
 }
 
 void MultiLogStore::spill_fold_locked(Generation& gen, IntervalId i) {
@@ -336,98 +311,140 @@ void MultiLogStore::spill_fold_locked(Generation& gen, IntervalId i) {
   fb.sends = 0;
 }
 
-void MultiLogStore::append_single(IntervalId i, const void* record) {
+void MultiLogStore::append(VertexId dst, const void* record) {
+  const IntervalId i = intervals_->interval_of(dst);
   const auto* rec = static_cast<const std::byte*>(record);
-  if (folds(i)) {
-    fold_append(i, rec, 1);
-    return;
-  }
-  // Under v2 a one-record chunk: the locked slow path trades compression
-  // for simplicity; the staged path encodes whole slots.
-  const auto stream = stream_form(rec, 1);
   Generation& gen = generations_[produce_index_];
   std::lock_guard<std::mutex> lock(*interval_locks_[i]);
-  append_bytes_locked(gen, i, stream.data(), stream.size(), 1);
-}
-
-void MultiLogStore::append(VertexId dst, const void* record) {
-  append_single(intervals_->interval_of(dst), record);
-}
-
-MultiLogStore::Staging MultiLogStore::make_staging() const {
-  Staging s;
-  // Slots exist even with staging disabled (they stay clean forever, so the
-  // inline fast path never fires and falls through to the locked append) —
-  // the last-interval cache must be safe to populate either way.
-  s.slots_.resize(intervals_->count());
-  if (staging_slot_bytes_ > 0) s.dirty_.reserve(intervals_->count());
-  return s;
-}
-
-void MultiLogStore::stage_slow(Staging& staging, VertexId dst,
-                               const void* record) {
-  // Last-interval cache: sends walk a vertex's out-edges, which cluster in
-  // destination ranges, so most lookups skip the interval_of binary search.
-  if (dst < staging.cache_begin_ || dst >= staging.cache_end_) {
-    staging.cache_interval_ = intervals_->interval_of(dst);
-    staging.cache_begin_ = intervals_->begin(staging.cache_interval_);
-    staging.cache_end_ = intervals_->end(staging.cache_interval_);
-  }
-  const IntervalId i = staging.cache_interval_;
-  if (staging_slot_bytes_ == 0) {
-    // Staging disabled: the old locked per-record path (still benefits from
-    // the cached interval lookup).
-    append_single(i, record);
+  note_sends_locked(i, 1);
+  if (folds(i)) {
+    fold_feed(i, rec, 1,
+              [&](const std::byte* survivors, std::size_t kept,
+                  std::uint64_t sends) {
+                const auto stream = stream_form(survivors, kept);
+                append_stream_locked(gen, i, stream.data(), stream.size(),
+                                     kept, sends);
+              });
     return;
   }
-  Staging::Slot& slot = staging.slots_[i];
-  if (!slot.dirty) {
-    if (staging.dirty_.empty()) staging.swap_tag_ = swap_count_;
-    slot.dirty = true;
-    staging.dirty_.push_back(i);
-    if (slot.buf.size() != staging_slot_bytes_) {
-      slot.buf.resize(staging_slot_bytes_);
-    }
-  }
-  std::memcpy(slot.buf.data() + slot.fill, record, config_.record_size);
-  slot.fill += config_.record_size;
-  if (slot.fill == staging_slot_bytes_) flush_slot(staging, i);
+  const auto stream = stream_form(rec, 1);
+  append_stream_locked(gen, i, stream.data(), stream.size(), 1, 1);
 }
 
-void MultiLogStore::flush_slot(Staging& staging, IntervalId i) {
-  Staging::Slot& slot = staging.slots_[i];
-  if (slot.fill == 0) return;
-  MLVC_CHECK_MSG(staging.swap_tag_ == swap_count_,
-                 "staging flushed across a generation swap — flush_staging() "
-                 "before swap_generations()");
-  const std::uint64_t n_records = slot.fill / config_.record_size;
-  if (folds(i)) {
-    // Raw records go to the fold buffer; encoding waits for the survivors.
-    staging.stall_seconds_ += fold_append(i, slot.buf.data(), n_records);
-  } else {
-    // v2: delta+varint encode the staged slot on the producing thread,
-    // outside the interval lock — this is where the compression work happens
-    // on the lock-free produce path. Destinations within a slot cluster
-    // (sends walk sorted adjacency lists), so the delta stream stays short.
-    const auto stream = stream_form(slot.buf.data(), n_records);
-    WallTimer timer;
-    {
-      Generation& gen = generations_[produce_index_];
-      std::lock_guard<std::mutex> lock(*interval_locks_[i]);
-      append_bytes_locked(gen, i, stream.data(), stream.size(), n_records);
-    }
-    staging.stall_seconds_ += timer.elapsed_seconds();
-  }
-  ++staging.flush_count_;
-  slot.fill = 0;  // keeps the buffer; slot stays on the dirty list
-}
+std::size_t MultiLogStore::commit(
+    std::span<const std::span<const std::byte>> chunks) {
+  const std::size_t rs = config_.record_size;
+  const IntervalId n = interval_count();
+  CommitScratch c;
+  const auto interval_at = [&](const std::byte* rec) {
+    VertexId dst;
+    std::memcpy(&dst, rec, sizeof(dst));
+    return intervals_->interval_of(dst);
+  };
 
-void MultiLogStore::flush_staging(Staging& staging) {
-  for (IntervalId i : staging.dirty_) {
-    flush_slot(staging, i);
-    staging.slots_[i].dirty = false;
+  // 1. Group by destination interval: a stable counting sort over the
+  //    chunks in order. Blocks are equal runs of the concatenated records;
+  //    the grouped order is the same however they split. A batch of one
+  //    block stays on the calling thread throughout: a team would cost more
+  //    than it saves.
+  std::vector<std::uint64_t> chunk_begin(chunks.size() + 1, 0);
+  for (std::size_t k = 0; k < chunks.size(); ++k) {
+    MLVC_CHECK_MSG(chunks[k].size() % rs == 0,
+                   "commit chunk not a whole number of records");
+    chunk_begin[k + 1] = chunk_begin[k] + chunks[k].size() / rs;
   }
-  staging.dirty_.clear();
+  const std::uint64_t total = chunk_begin.back();
+  if (total == 0) return 0;
+  const auto blocks = chunk_bounds(total, std::size_t{1} << 14,
+                                   hardware_threads());
+  const std::size_t n_blocks = blocks.size() - 1;
+  const auto for_each_task = [&](std::size_t n_tasks, auto&& task) {
+    if (n_blocks == 1) {
+      for (std::size_t t = 0; t < n_tasks; ++t) task(t);
+    } else {
+      parallel_for_each(n_tasks, task);
+    }
+  };
+  const auto for_each_record = [&](std::size_t b, auto&& f) {
+    std::size_t k = static_cast<std::size_t>(
+        std::upper_bound(chunk_begin.begin(), chunk_begin.end(), blocks[b]) -
+        chunk_begin.begin() - 1);
+    for (std::uint64_t r = blocks[b]; r < blocks[b + 1]; ++k) {
+      const std::uint64_t end = std::min<std::uint64_t>(chunk_begin[k + 1],
+                                                        blocks[b + 1]);
+      for (; r < end; ++r) f(chunks[k].data() + (r - chunk_begin[k]) * rs);
+    }
+  };
+  c.cursor.resize(n_blocks * n);
+  for_each_task(n_blocks, [&](std::size_t b) {
+    std::uint64_t* count = c.cursor.data() + b * n;
+    for_each_record(b,
+                    [&](const std::byte* rec) { ++count[interval_at(rec)]; });
+  });
+  c.starts.resize(n + 1);
+  std::uint64_t run = 0;
+  for (IntervalId i = 0; i < n; ++i) {
+    c.starts[i] = run;
+    for (std::size_t b = 0; b < n_blocks; ++b) {
+      const std::uint64_t count = c.cursor[b * n + i];
+      c.cursor[b * n + i] = run;
+      run += count;
+    }
+    if (run > c.starts[i]) c.touched.push_back(i);
+  }
+  c.starts[n] = run;
+  c.grouped.resize(total * rs);
+  for_each_task(n_blocks, [&](std::size_t b) {
+    std::uint64_t* cursor = c.cursor.data() + b * n;
+    for_each_record(b, [&](const std::byte* rec) {
+      std::memcpy(c.grouped.data() + cursor[interval_at(rec)]++ * rs, rec, rs);
+    });
+  });
+
+  // 2. One owner per interval folds or encodes its group into its thread's
+  //    arena. Nothing here touches storage.
+  c.arenas.resize(hardware_threads());
+  c.outs.resize(c.touched.size());
+  for_each_task(c.touched.size(), [&](std::size_t j) {
+    const IntervalId i = c.touched[j];
+    std::byte* records = c.grouped.data() + c.starts[i] * rs;
+    const std::size_t count = c.starts[i + 1] - c.starts[i];
+    CommitScratch::Out& out = c.outs[j];
+    out.arena = thread_index();
+    std::vector<std::byte>& arena = c.arenas[out.arena];
+    out.offset = arena.size();
+    const auto emit = [&](const std::byte* recs, std::size_t kept,
+                          std::uint64_t sends) {
+      const auto stream = stream_form(recs, kept);
+      arena.insert(arena.end(), stream.begin(), stream.end());
+      out.records += kept;
+      out.sends += sends;
+    };
+    std::lock_guard<std::mutex> lock(*interval_locks_[i]);
+    if (folds(i)) {
+      fold_feed(i, records, count, emit);
+    } else {
+      for (std::size_t k = 0; k < count; k += kCommitEncodeRecords) {
+        const std::size_t unit = std::min(kCommitEncodeRecords, count - k);
+        emit(records + k * rs, unit, unit);
+      }
+    }
+    out.len = arena.size() - out.offset;
+  });
+
+  // 3. Append and queue for eviction in interval order, on the calling
+  //    thread (its I/O-stats sink sees the logical and physical writes).
+  Generation& gen = generations_[produce_index_];
+  for (std::size_t j = 0; j < c.touched.size(); ++j) {
+    const IntervalId i = c.touched[j];
+    const CommitScratch::Out& out = c.outs[j];
+    std::lock_guard<std::mutex> lock(*interval_locks_[i]);
+    note_sends_locked(i, c.starts[i + 1] - c.starts[i]);
+    if (out.len == 0) continue;
+    append_stream_locked(gen, i, c.arenas[out.arena].data() + out.offset,
+                         out.len, out.records, out.sends);
+  }
+  return c.touched.size();
 }
 
 std::uint64_t MultiLogStore::produced_count(IntervalId i) const {

@@ -15,17 +15,25 @@
 // this superstep's sends). swap_generations() rotates them at the superstep
 // boundary.
 //
+// Produce order. The engine buffers a compute batch's sends per fixed chunk
+// of the batch (not per thread) and hands them to commit() once the batch
+// joins. commit() groups the records by destination interval, keeping chunk
+// order and, within a chunk, send order; each interval then has exactly one
+// committer, and the committed pages are appended and queued for eviction
+// in interval order. Every log stream and its page layout are therefore a
+// function of the batch, never of the thread schedule.
+//
 // Produce-side fold. When the config carries a combine operator (the
 // engine sets one for combinable apps with combining on), sends do not go
 // straight into the top page: each interval also keeps a one-page *fold
-// buffer* of raw records. When it fills, the flushing thread swaps it out,
-// combines it per destination outside the interval lock, and either puts
-// the survivors back (when they fill at most half the buffer) or appends
-// them — ascending by destination — to the top page. Only survivors reach
-// storage, so a sum or min app writes and reads back far fewer log bytes.
-// This departs on purpose from the paper, which combines only after the log
-// is loaded (§V.D); apps without a combine keep every message. Folded
-// records are ordinary records: the read side is unchanged.
+// buffer* of raw records. When it fills, its committer combines it per
+// destination and either keeps the survivors (when they fill at most half
+// the buffer) or appends them — ascending by destination — to the top page.
+// Only survivors reach storage, so a sum or min app writes and reads back
+// far fewer log bytes. Records fold in commit order, so float sums are
+// reproducible. This departs on purpose from the paper, which combines only
+// after the log is loaded (§V.D); apps without a combine keep every
+// message. Folded records are ordinary records: the read side is unchanged.
 //
 // The store is byte-oriented (record_size fixed at construction) so it can
 // be compiled once and unit-tested independently of any message type; the
@@ -70,15 +78,6 @@ struct MultiLogConfig {
   /// exactly one top page per interval (plus, with a combine, one fold-buffer
   /// page: at most two pages per interval) and check the budget covers one.
   std::size_t buffer_budget_bytes = 0;  // 0 = don't enforce
-
-  /// Per-thread, per-interval staging depth (records) for append_staged().
-  /// A Staging object buffers up to this many records per interval with no
-  /// lock and no shared state, flushing into the shared top page in one
-  /// chunk. 0 = staging degrades to the per-record locked append (the old
-  /// produce path). When buffer_budget_bytes is set, the depth is clamped so
-  /// one thread's worst-case resident staging (every interval's slot full)
-  /// stays within the budget.
-  std::size_t staging_records = 0;
 
   /// Full pages queue in a small eviction buffer and are written to the
   /// generation blob in one batched, contiguous append of this many pages
@@ -138,85 +137,26 @@ class MultiLogStore {
 
   /// Append one record for destination vertex `dst`. `record` must be
   /// record_size bytes whose first 4 bytes equal `dst`. Thread-safe (per
-  /// interval lock).
+  /// interval lock). The locked single-record path: under v2 each record is
+  /// a chunk of its own. The engine produces through commit().
   void append(VertexId dst, const void* record);
 
-  /// Thread-local staging for the produce path. One Staging object belongs
-  /// to exactly one thread; append_staged() touches no lock and no shared
-  /// state until a slot fills (staging_records deep) and is flushed into the
-  /// shared top page in one chunk — one interval-lock acquisition per chunk
-  /// instead of one per record. Interval lookup is the O(1) block index
-  /// (VertexIntervals::interval_of); the staging-off locked path additionally
-  /// hoists it behind a last-interval cache (sends cluster by destination).
-  ///
-  /// Records parked in a Staging are invisible to produced_count /
-  /// drain_produce_interval / swap_generations until flushed; the owner must
-  /// flush_staging() before any of those read the produce generation.
-  class Staging {
-   public:
-    Staging() = default;
+  /// Records per v2 chunk when commit() encodes an interval's unfolded
+  /// records.
+  static constexpr std::size_t kCommitEncodeRecords = 64;
 
-    /// Flushed-chunk count and wall time spent inside flushes (the residual
-    /// serialized section of the scatter path) since the last reset_stats().
-    std::uint64_t flush_count() const noexcept { return flush_count_; }
-    double stall_seconds() const noexcept { return stall_seconds_; }
-    void reset_stats() noexcept {
-      flush_count_ = 0;
-      stall_seconds_ = 0;
-    }
-
-    /// Drop any buffered records without flushing them (checkpoint rollback:
-    /// records staged by an aborted superstep must not leak into the next
-    /// generation).
-    void discard() {
-      for (IntervalId i : dirty_) {
-        slots_[i].fill = 0;
-        slots_[i].dirty = false;
-      }
-      dirty_.clear();
-      cache_begin_ = cache_end_ = 0;
-    }
-
-    bool empty() const noexcept { return dirty_.empty(); }
-
-   private:
-    friend class MultiLogStore;
-    struct Slot {
-      std::vector<std::byte> buf;  // fixed capacity once allocated
-      std::size_t fill = 0;        // bytes of buf holding records
-      bool dirty = false;
-    };
-    std::vector<Slot> slots_;          // one per interval; buffers lazily
-    std::vector<IntervalId> dirty_;    // intervals with buffered records
-    // Last-interval cache for the interval_of hoist.
-    VertexId cache_begin_ = 0;
-    VertexId cache_end_ = 0;
-    IntervalId cache_interval_ = 0;
-    // Generation tag: swap_count_ observed when the staging first became
-    // dirty; flushing across a swap_generations() is a contract violation.
-    unsigned swap_tag_ = 0;
-    std::uint64_t flush_count_ = 0;
-    double stall_seconds_ = 0;
-  };
-
-  /// Create a staging area sized for this store's intervals. Call once per
-  /// compute thread; the result must not be shared between threads.
-  Staging make_staging() const;
-
-  /// Append one record through `staging`. Equivalent to append() record by
-  /// record up to ordering: per-staging append order is preserved within an
-  /// interval, interleaving between threads happens at chunk granularity.
-  /// Defined inline below — the hot path (slot live, room left) is an O(1)
-  /// interval lookup plus a memcpy, no lock and no shared state.
-  void append_staged(Staging& staging, VertexId dst, const void* record);
-
-  /// append_staged with the record size fixed at compile time (typed
-  /// callers); kRecordSize must equal record_size().
-  template <std::size_t kRecordSize>
-  void append_staged_fixed(Staging& staging, VertexId dst, const void* record);
-
-  /// Flush every buffered slot of `staging` into the shared top pages.
-  void flush_staging(Staging& staging);
+  /// Commit one batch's sends. `chunks` are the batch's producer chunks in
+  /// batch order, each whole raw records (record_size bytes, destination
+  /// first) in send order. The records are grouped by destination interval
+  /// — chunk order, then send order within a chunk — and each interval's
+  /// group is folded (when the interval folds) or encoded in
+  /// kCommitEncodeRecords-record units by one owner, in parallel across
+  /// intervals; the results are appended and queued for eviction in
+  /// interval order. The outcome depends only on the concatenated records,
+  /// not on the chunk boundaries or the thread count. Returns the number of
+  /// intervals committed. Thread-safe; the scratch lives for the call, so
+  /// nothing batch-sized stays resident between commits.
+  std::size_t commit(std::span<const std::span<const std::byte>> chunks);
 
   /// Bytes of each flushed page that hold records. Pages always contain a
   /// whole number of records (floor(page_size / record_size) of them); when
@@ -225,9 +165,7 @@ class MultiLogStore {
   std::size_t usable_page_bytes() const noexcept { return usable_page_bytes_; }
 
   /// Sends appended to interval i's produce generation so far, including
-  /// records still in its fold buffer and records the fold absorbed (exact
-  /// when no append to i is in flight: a buffer being folded counts again
-  /// once its survivors land).
+  /// records still in its fold buffer and records the fold absorbed.
   std::uint64_t produced_count(IntervalId i) const;
 
   /// Per-interval producer sequence: total sends ever appended to interval
@@ -338,24 +276,17 @@ class MultiLogStore {
   void append_stream_locked(Generation& gen, IntervalId i,
                             const std::byte* data, std::size_t len,
                             std::uint64_t n_records, std::uint64_t n_sends);
-  /// note_sends_locked + append_stream_locked: records that bypass the fold.
-  void append_bytes_locked(Generation& gen, IntervalId i,
-                           const std::byte* data, std::size_t len,
-                           std::uint64_t n_records) {
-    note_sends_locked(i, n_records);
-    append_stream_locked(gen, i, data, len, n_records, n_records);
-  }
-  /// Locked-path single-record append (append() and the staging-off slow
-  /// path): encodes under v2, raw copy under v1.
-  void append_single(IntervalId i, const void* record);
   /// True when interval i's sends go through its fold buffer.
   bool folds(IntervalId i) const noexcept {
     return !fold_bufs_.empty() && fold_bufs_[i].direct;
   }
-  /// Append `n` raw records to interval i's fold buffer, folding each time
-  /// it fills (outside the lock). Returns the seconds spent waiting for and
-  /// holding the interval lock.
-  double fold_append(IntervalId i, const std::byte* records, std::size_t n);
+  /// Feed `n` raw records to interval i's fold buffer, folding it each time
+  /// it fills. Survivors stay in the buffer while they fill at most half of
+  /// it; otherwise they leave through emit(records, kept, sends), ascending
+  /// by destination. Caller owns interval i (its lock).
+  template <typename Emit>
+  void fold_feed(IntervalId i, const std::byte* records, std::size_t n,
+                 Emit&& emit);
   /// Combine `n` raw records of interval i in place: the survivors, one per
   /// destination in ascending order, overwrite the front of `records`.
   /// Returns their count. O(1) per record plus one bitmap word per 64
@@ -378,11 +309,6 @@ class MultiLogStore {
   /// holds `bytes` == stream_bytes(gen, i).
   void read_stream(const Generation& gen, IntervalId i, std::byte* dst,
                    std::uint64_t bytes) const;
-  /// Flush one staging slot's buffered records under the interval lock.
-  void flush_slot(Staging& staging, IntervalId i);
-  /// append_staged cold path: interval-cache refresh, first touch of a slot
-  /// (allocation + dirty-list insertion), and the staging-off locked append.
-  void stage_slow(Staging& staging, VertexId dst, const void* record);
   void queue_eviction(Generation& gen, IntervalId interval,
                       const std::byte* page);
   void flush_evictions(Generation& gen);
@@ -399,9 +325,6 @@ class MultiLogStore {
   /// Record-holding prefix of every page: floor(page_size / record_size)
   /// whole records. Eviction, load and drain all work in these units.
   std::size_t usable_page_bytes_ = 0;
-  /// Capacity of one staging slot in bytes (whole records); 0 = staging off.
-  std::size_t staging_slot_bytes_ = 0;
-
   /// One page of raw records per interval, produce side only; guarded by
   /// the interval lock. Empty when the config has no combine.
   struct FoldBuffer {
@@ -428,45 +351,5 @@ class MultiLogStore {
   /// through. Atomic so the scheduler can read it without the interval lock.
   std::unique_ptr<std::atomic<std::uint64_t>[]> produce_seq_;
 };
-
-inline void MultiLogStore::append_staged(Staging& staging, VertexId dst,
-                                         const void* record) {
-  if (staging_slot_bytes_ != 0) [[likely]] {
-    const IntervalId i = intervals_->interval_of(dst);  // O(1) block index
-    Staging::Slot& slot = staging.slots_[i];
-    if (slot.dirty) [[likely]] {
-      const std::size_t rs = config_.record_size;
-      std::memcpy(slot.buf.data() + slot.fill, record, rs);
-      slot.fill += rs;
-      if (slot.fill == staging_slot_bytes_) [[unlikely]] {
-        flush_slot(staging, i);
-      }
-      return;
-    }
-  }
-  stage_slow(staging, dst, record);
-}
-
-/// Compile-time record-size variant of append_staged for the typed layer
-/// (record.hpp): the copy collapses to a fixed-width move instead of a
-/// runtime-size memcpy dispatch. kRecordSize must equal record_size() —
-/// the same contract append()/append_record already rely on.
-template <std::size_t kRecordSize>
-void MultiLogStore::append_staged_fixed(Staging& staging, VertexId dst,
-                                        const void* record) {
-  if (staging_slot_bytes_ != 0) [[likely]] {
-    const IntervalId i = intervals_->interval_of(dst);
-    Staging::Slot& slot = staging.slots_[i];
-    if (slot.dirty) [[likely]] {
-      std::memcpy(slot.buf.data() + slot.fill, record, kRecordSize);
-      slot.fill += kRecordSize;
-      if (slot.fill == staging_slot_bytes_) [[unlikely]] {
-        flush_slot(staging, i);
-      }
-      return;
-    }
-  }
-  stage_slow(staging, dst, record);
-}
 
 }  // namespace mlvc::multilog

@@ -36,13 +36,18 @@ void append_record(MultiLogStore& store, VertexId dst, const Message& m) {
   store.append(dst, &rec);
 }
 
-/// Append a typed message through a thread-local staging area (the lock-free
-/// produce path; see MultiLogStore::Staging).
+/// Commit typed producer chunks, in order (MultiLogStore::commit). Returns
+/// the number of intervals committed.
 template <typename Message>
-void append_record_staged(MultiLogStore& store, MultiLogStore::Staging& staging,
-                          VertexId dst, const Message& m) {
-  Record<Message> rec{dst, m};
-  store.append_staged_fixed<sizeof(rec)>(staging, dst, &rec);
+std::size_t commit_records(
+    MultiLogStore& store,
+    std::span<const std::vector<Record<Message>>> chunks) {
+  std::vector<std::span<const std::byte>> bytes;
+  bytes.reserve(chunks.size());
+  for (const auto& chunk : chunks) {
+    bytes.push_back(std::as_bytes(std::span(chunk)));
+  }
+  return store.commit(bytes);
 }
 
 /// A MultiLogConfig::combine over typed records: folds the payload of

@@ -343,7 +343,7 @@ inline std::vector<std::size_t> chunk_units(const LogChunkIndex& idx) {
 /// from a chunk's payload cursor. The uvarint branch writes the message's
 /// exact bit pattern (encode zero-extends it into a u64); the fixed branch
 /// copies the raw record tail, padding bytes included, so the decoded
-/// record is byte-identical to what the producer staged.
+/// record is byte-identical to what the producer sent.
 template <typename Message>
 void read_chunk_payload(const std::uint8_t** cur, const std::uint8_t* end,
                         Record<Message>* r) {

@@ -33,10 +33,9 @@ using multilog::LogChunkIndex;
 using multilog::Record;
 using multilog::TornPagePolicy;
 
-/// Format-pinning tests clear these (the engine re-applies them at
-/// construction) so a CI format or staging leg cannot retarget them.
-const std::vector<const char*> kFormatVars = {"MLVC_FORMAT",
-                                              "MLVC_SCATTER_STAGING"};
+/// Format-pinning tests clear this (the engine re-applies it at
+/// construction) so a CI format leg cannot retarget them.
+const std::vector<const char*> kFormatVars = {"MLVC_FORMAT"};
 
 // ---- varint primitives ------------------------------------------------------
 
@@ -202,7 +201,7 @@ TEST(Varint, DeltaBlockRangeChecked) {
 // ---- chunk codec ------------------------------------------------------------
 
 /// Clustered destinations in [lo, hi): a random walk with occasional jumps,
-/// the shape staged sends actually produce.
+/// the shape committed sends actually produce.
 std::vector<VertexId> clustered_dsts(std::size_t n, VertexId lo, VertexId hi,
                                      std::uint64_t seed) {
   std::mt19937_64 rng(seed);
@@ -666,14 +665,12 @@ TEST(StoredCsrFormat, WeightsRoundTripUnderV2) {
 template <core::VertexApp App>
 std::vector<typename App::Value> run_fmt(const graph::CsrGraph& csr, App app,
                                          OnDiskFormat format, bool pipeline,
-                                         std::size_t staging,
                                          Superstep max_steps) {
   Env env;
   auto opts = testing_options();
   opts.max_supersteps = max_steps;
   opts.on_disk_format = format;
   opts.io_threads = pipeline ? 4 : 0;
-  opts.scatter_staging_records = staging;
   graph::StoredCsrGraph stored(env.storage, "g", csr,
                                core::partition_for_app<App>(csr, opts),
                                {.with_weights = App::kNeedsWeights,
@@ -684,43 +681,37 @@ std::vector<typename App::Value> run_fmt(const graph::CsrGraph& csr, App app,
 }
 
 // The format is a pure storage change: for every app (varint payload, fixed
-// float payload) x produce path (locked / staged) x scheduling (serial /
-// pipelined), v1 and v2 must agree. Integer-valued apps compare bit-exact;
-// PageRank combines floats whose fold order is unspecified, so it compares
+// float payload) x scheduling (serial / pipelined), v1 and v2 must agree.
+// Integer-valued apps compare bit-exact; PageRank's float sums compare
 // within rounding tolerance.
 TEST(EngineFormatMatrix, ValuesMatchAcrossFormats) {
   ScopedEnv guard(kFormatVars);
   const auto csr = sample_graph(9, 11);
-  const struct {
-    bool pipeline;
-    std::size_t staging;
-  } configs[] = {{false, 0}, {true, 64}};
 
   const auto bfs_expected = reference::bfs_distances(csr, 3);
-  for (const auto& cfg : configs) {
-    SCOPED_TRACE(::testing::Message()
-                 << "pipeline=" << cfg.pipeline << " staging=" << cfg.staging);
+  for (const bool pipeline : {false, true}) {
+    SCOPED_TRACE(::testing::Message() << "pipeline=" << pipeline);
     const auto bfs1 = run_fmt(csr, apps::Bfs{.source = 3}, OnDiskFormat::kV1,
-                              cfg.pipeline, cfg.staging, 50);
+                              pipeline, 50);
     const auto bfs2 = run_fmt(csr, apps::Bfs{.source = 3}, OnDiskFormat::kV2,
-                              cfg.pipeline, cfg.staging, 50);
+                              pipeline, 50);
     EXPECT_EQ(bfs1, bfs2);
     for (VertexId v = 0; v < csr.num_vertices(); ++v) {
       ASSERT_EQ(bfs2[v], bfs_expected[v]) << "vertex " << v;
     }
 
     const auto wcc1 = run_fmt(csr, apps::Wcc{}, OnDiskFormat::kV1,
-                              cfg.pipeline, cfg.staging, 50);
+                              pipeline, 50);
     const auto wcc2 = run_fmt(csr, apps::Wcc{}, OnDiskFormat::kV2,
-                              cfg.pipeline, cfg.staging, 50);
+                              pipeline, 50);
     EXPECT_EQ(wcc1, wcc2);
 
     apps::PageRank pr;
     pr.threshold = 0.1f;
     const auto pr1 =
-        run_fmt(csr, pr, OnDiskFormat::kV1, cfg.pipeline, cfg.staging, 15);
+        run_fmt(csr, pr, OnDiskFormat::kV1, pipeline, 15);
     const auto pr2 =
-        run_fmt(csr, pr, OnDiskFormat::kV2, cfg.pipeline, cfg.staging, 15);
+        run_fmt(csr, pr, OnDiskFormat::kV2, pipeline, 15);
     ASSERT_EQ(pr1.size(), pr2.size());
     for (VertexId v = 0; v < csr.num_vertices(); ++v) {
       ASSERT_NEAR(pr1[v], pr2[v], 1e-3) << "vertex " << v;

@@ -114,40 +114,20 @@ TEST(EngineFeatures, CombineChangesComputeNotLogTraffic) {
   }
 }
 
-TEST(EngineFeatures, ScatterStagingDepthsSameResults) {
-  // The staging buffers reorder records *across* threads but each vertex
-  // still receives the same multiset of messages, so a multiset-insensitive
-  // app converges to identical values at any staging depth (0 = the old
-  // locked per-record path).
-  const auto csr = feature_graph();
-  apps::Cdlp app;
-  std::vector<std::vector<apps::Cdlp::Value>> results;
-  core::RunStats staged_stats;
-  for (unsigned depth : {0u, 1u, 64u}) {
-    auto opts = testing_options();
-    opts.scatter_staging_records = depth;
-    auto [values, stats] = run_once(csr, app, opts);
-    if (depth == 64) staged_stats = stats;
-    results.push_back(std::move(values));
-  }
-  EXPECT_EQ(results[0], results[1]);
-  EXPECT_EQ(results[0], results[2]);
-  // With staging on, flushes happened and the counter surfaced in stats.
-  EXPECT_GT(staged_stats.scatter_flush_count(), 0u);
-  EXPECT_GE(staged_stats.scatter_stall_seconds(), 0.0);
-}
-
 TEST(EngineFeatures, ScatterStagingPreservesMessageCounts) {
-  // Message accounting must not depend on where records sat when counted:
-  // per-superstep produced/consumed totals are invariant under staging.
+  // Sends are buffered per batch chunk and committed in chunk order, so the
+  // message accounting and the commit count do not depend on the thread
+  // count: per-superstep produced/consumed totals and commits match
+  // between one thread and the default team.
   const auto csr = feature_graph();
   apps::Cdlp app;
-  auto locked = testing_options();
-  locked.scatter_staging_records = 0;
-  auto staged = testing_options();
-  staged.scatter_staging_records = 16;
-  const auto [a, sa] = run_once(csr, app, locked);
-  const auto [b, sb] = run_once(csr, app, staged);
+  const auto opts = testing_options();
+  const auto [a, sa] = [&] {
+    ThreadCount one(1);
+    return run_once(csr, app, opts);
+  }();
+  const auto [b, sb] = run_once(csr, app, opts);
+  EXPECT_EQ(a, b);
   ASSERT_EQ(sa.supersteps.size(), sb.supersteps.size());
   for (std::size_t s = 0; s < sa.supersteps.size(); ++s) {
     EXPECT_EQ(sa.supersteps[s].messages_produced,
@@ -156,25 +136,22 @@ TEST(EngineFeatures, ScatterStagingPreservesMessageCounts) {
               sb.supersteps[s].messages_consumed);
     EXPECT_EQ(sa.supersteps[s].edges_activated,
               sb.supersteps[s].edges_activated);
+    EXPECT_EQ(sa.supersteps[s].scatter_flush_count,
+              sb.supersteps[s].scatter_flush_count);
   }
-  // Skip under the MLVC_SCATTER_STAGING override (CI's staging=1 run): it
-  // deliberately rewrites both configs, so "locked never flushes" no longer
-  // holds — the count/value equalities above are the invariant under test.
-  if (std::getenv("MLVC_SCATTER_STAGING") == nullptr) {
-    EXPECT_EQ(sa.scatter_flush_count(), 0u);
-    EXPECT_GT(sb.scatter_flush_count(), 0u);
-  }
+  EXPECT_GT(sb.scatter_flush_count(), 0u);
+  EXPECT_GE(sb.scatter_stall_seconds(), 0.0);
 }
 
 TEST(EngineFeatures, AsyncModeCorrectWithStaging) {
-  // Async drains bypass swap_generations, so the engine must flush staged
-  // records before every drain_produce_interval — otherwise messages parked
-  // in a staging buffer would be skipped for the interval being drained.
+  // Async drains bypass swap_generations, so each batch's sends must be
+  // committed before the next drain_produce_interval — otherwise messages
+  // still in a batch's chunk buffers would be skipped for the interval
+  // being drained.
   const auto csr = feature_graph(9, 29);
   apps::Bfs app{.source = 0};
   auto opts = testing_options();
   opts.model = core::ComputationModel::kAsynchronous;
-  opts.scatter_staging_records = 8;
   const auto [values, stats] = run_once(csr, app, opts);
   const auto expected = reference::bfs_distances(csr, 0);
   for (VertexId v = 0; v < csr.num_vertices(); ++v) {

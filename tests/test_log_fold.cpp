@@ -23,29 +23,6 @@
 namespace mlvc {
 namespace {
 
-/// Pins the OpenMP team size (the engine's compute threads) for a scope.
-class ThreadCount {
- public:
-  explicit ThreadCount(unsigned n) {
-#ifdef _OPENMP
-    previous_ = omp_get_max_threads();
-    omp_set_num_threads(static_cast<int>(n));
-#else
-    (void)n;
-#endif
-  }
-  ~ThreadCount() {
-#ifdef _OPENMP
-    omp_set_num_threads(previous_);
-#endif
-  }
-  ThreadCount(const ThreadCount&) = delete;
-  ThreadCount& operator=(const ThreadCount&) = delete;
-
- private:
-  int previous_ = 1;
-};
-
 /// The default team, which honours OMP_NUM_THREADS (TSan runs pin it to 1:
 /// libgomp's barriers are invisible to it).
 unsigned many_threads() { return hardware_threads(); }
@@ -65,12 +42,11 @@ graph::CsrGraph fold_graph(unsigned scale = 11) {
   return graph::CsrGraph::from_edge_list(list);
 }
 
-core::EngineOptions fold_options(bool combine, unsigned staging = 64) {
+core::EngineOptions fold_options(bool combine) {
   auto opts = testing_options();
   opts.memory_budget_bytes = 256_KiB;
   opts.max_supersteps = 100;
   opts.enable_combine = combine;
-  opts.scatter_staging_records = staging;
   return opts;
 }
 
@@ -102,7 +78,7 @@ std::uint64_t log_bytes_written(const core::RunStats& stats) {
 }
 
 /// Combine on and off give bit-identical values for a min-combine app at
-/// every thread count and staging depth, and only the "on" runs fold.
+/// every thread count, and only the "on" runs fold.
 template <core::VertexApp App>
 void expect_fold_keeps_values(const graph::CsrGraph& csr, App app) {
   std::vector<typename App::Value> baseline;
@@ -112,19 +88,16 @@ void expect_fold_keeps_values(const graph::CsrGraph& csr, App app) {
   }
   for (const unsigned threads : {1u, many_threads()}) {
     ThreadCount pinned(threads);
-    for (const unsigned staging : {1u, 64u}) {
-      const auto on = run_fold(csr, app, fold_options(true, staging));
-      const auto off = run_fold(csr, app, fold_options(false, staging));
-      const std::string where = std::string(app.name()) + " threads " +
-                                std::to_string(threads) + " staging " +
-                                std::to_string(staging);
-      EXPECT_EQ(on.values, baseline) << where;
-      EXPECT_EQ(off.values, baseline) << where;
-      EXPECT_GT(on.stats.log_records_folded(), 0u) << where;
-      EXPECT_EQ(off.stats.log_records_folded(), 0u) << where;
-      EXPECT_EQ(on.stats.total_messages(), off.stats.total_messages())
-          << where;
-    }
+    const auto on = run_fold(csr, app, fold_options(true));
+    const auto off = run_fold(csr, app, fold_options(false));
+    const std::string where =
+        std::string(app.name()) + " threads " + std::to_string(threads);
+    EXPECT_EQ(on.values, baseline) << where;
+    EXPECT_EQ(off.values, baseline) << where;
+    EXPECT_GT(on.stats.log_records_folded(), 0u) << where;
+    EXPECT_EQ(off.stats.log_records_folded(), 0u) << where;
+    EXPECT_EQ(on.stats.total_messages(), off.stats.total_messages())
+        << where;
   }
 }
 
@@ -150,6 +123,8 @@ TEST(LogFold, SsspValuesBitIdenticalWithCombineOnAndOff) {
 }
 
 TEST(LogFold, PageRankWithinToleranceAndWritesFewerLogBytes) {
+  // The fold works on the push path's sends; adaptive would pull.
+  ScopedEnv push("MLVC_DIRECTION", "push");
   const auto csr = fold_graph();
   apps::PageRank app;
   app.threshold = 0.01f;
@@ -204,7 +179,9 @@ TEST(LogFold, PageRankLogTrafficProportionalToMessages) {
   // PageRank counterpart of PerformanceProperties'
   // LogTrafficProportionalToMessages: log writes are bounded by the records
   // that survive the fold times the record size, plus one top page per
-  // interval — no write amplification beyond page rounding.
+  // interval — no write amplification beyond page rounding. Pinned to push:
+  // a pulled interval logs and folds nothing.
+  ScopedEnv push("MLVC_DIRECTION", "push");
   graph::RmatParams p;
   p.scale = 12;
   p.edge_factor = 8;

@@ -18,6 +18,7 @@
 #include "multilog/record.hpp"
 #include "multilog/sort_group.hpp"
 #include "ssd/async_io.hpp"
+#include "tests/test_util.hpp"
 
 namespace mlvc::multilog {
 namespace {
@@ -38,6 +39,35 @@ std::vector<TestRecord> load_records(MultiLogStore& store, IntervalId i) {
   std::vector<std::byte> bytes;
   store.load_interval(i, bytes);
   return decode_records<std::uint32_t>(bytes);
+}
+
+/// Commit `sends` the way the engine does: batches of `batch` records, each
+/// cut into producer chunks of `depth` records, committed in chunk order.
+/// Returns the intervals committed over all batches.
+template <typename Message>
+std::size_t commit_sends(MultiLogStore& store,
+                         const std::vector<Record<Message>>& sends,
+                         std::size_t depth, std::size_t batch = 4096) {
+  std::size_t commits = 0;
+  for (std::size_t b = 0; b < sends.size(); b += batch) {
+    const std::size_t end = std::min(sends.size(), b + batch);
+    std::vector<std::vector<Record<Message>>> chunks;
+    for (std::size_t k = b; k < end; k += depth) {
+      chunks.emplace_back(sends.begin() + k,
+                          sends.begin() + std::min(end, k + depth));
+    }
+    commits += commit_records<Message>(store, chunks);
+  }
+  return commits;
+}
+
+/// Every byte of a store's generation blob (flushed pages, in page order).
+std::vector<std::byte> blob_bytes(ssd::Storage& storage,
+                                  const std::string& name) {
+  ssd::Blob& blob = storage.open_blob(name);
+  std::vector<std::byte> bytes(blob.size());
+  if (!bytes.empty()) blob.read(0, bytes.data(), bytes.size());
+  return bytes;
 }
 
 // ---- MultiLogStore ---------------------------------------------------------
@@ -356,24 +386,21 @@ TEST(MultiLogStore, FlushedPagesHoldWholeRecords) {
 }
 
 TEST(MultiLogStore, StagedAppendMatchesLockedPath) {
-  // One thread, staging on vs off: per-interval logs must be byte-identical
-  // (a single producer's flush order is its append order).
+  // v1 without a fold: records committed in 7-record chunks land exactly as
+  // the same records appended one by one through the locked path.
   Env locked_env;
   Env staged_env;
   const auto iv = graph::VertexIntervals::uniform(64, 8);
   MultiLogStore locked(locked_env.storage, "t", iv, {.record_size = 8});
-  MultiLogStore staged(staged_env.storage, "t", iv,
-                       {.record_size = 8, .staging_records = 7});
-  auto staging = staged.make_staging();
+  MultiLogStore staged(staged_env.storage, "t", iv, {.record_size = 8});
+  std::vector<TestRecord> sends;
   SplitMix64 rng(11);
   for (std::uint32_t k = 0; k < 20000; ++k) {
     const auto dst = static_cast<VertexId>(rng.next_below(64));
     append_record<std::uint32_t>(locked, dst, k);
-    append_record_staged<std::uint32_t>(staged, staging, dst, k);
+    sends.push_back({dst, k});
   }
-  staged.flush_staging(staging);
-  EXPECT_GT(staging.flush_count(), 0u);
-  EXPECT_GE(staging.stall_seconds(), 0.0);
+  EXPECT_GT(commit_sends(staged, sends, 7), 0u);
   locked.swap_generations();
   staged.swap_generations();
   for (IntervalId i = 0; i < iv.count(); ++i) {
@@ -387,58 +414,112 @@ TEST(MultiLogStore, StagedAppendMatchesLockedPath) {
 }
 
 TEST(MultiLogStore, StagedRecordsInvisibleUntilFlushed) {
-  Env env;
-  const auto iv = graph::VertexIntervals::uniform(20, 10);
-  MultiLogStore store(env.storage, "t", iv,
-                      {.record_size = 8, .staging_records = 1024});
-  auto staging = store.make_staging();
-  for (std::uint32_t k = 0; k < 100; ++k) {
-    append_record_staged<std::uint32_t>(store, staging, 15, k);  // interval 1
-  }
-  EXPECT_EQ(store.produced_count(1), 0u);  // parked in the staging buffer
-  EXPECT_FALSE(staging.empty());
-  store.flush_staging(staging);
-  EXPECT_EQ(store.produced_count(1), 100u);
-  EXPECT_TRUE(staging.empty());
-  EXPECT_EQ(staging.flush_count(), 1u);  // one chunk, one lock take
-}
-
-TEST(MultiLogStore, StagingDepthZeroDegradesToLockedAppend) {
+  // A producer chunk is the caller's buffer: the store sees its records
+  // only at commit, which reports one commit per interval reached.
   Env env;
   const auto iv = graph::VertexIntervals::uniform(20, 10);
   MultiLogStore store(env.storage, "t", iv, {.record_size = 8});
-  auto staging = store.make_staging();
-  append_record_staged<std::uint32_t>(store, staging, 15, 1);
-  EXPECT_EQ(store.produced_count(1), 1u);  // no staging: visible immediately
-  EXPECT_EQ(staging.flush_count(), 0u);
-  store.flush_staging(staging);  // no-op
-  EXPECT_EQ(store.produced_count(1), 1u);
+  std::vector<std::vector<TestRecord>> chunks(2);
+  for (std::uint32_t k = 0; k < 100; ++k) {
+    chunks[k % 2].push_back({15, k});  // interval 1
+  }
+  EXPECT_EQ(store.produced_count(1), 0u);
+  EXPECT_EQ(commit_records<std::uint32_t>(store, chunks), 1u);
+  EXPECT_EQ(store.produced_count(1), 100u);
+  EXPECT_EQ(store.produce_seq(1), 100u);
+  EXPECT_EQ(commit_records<std::uint32_t>(store, {}), 0u);
 }
 
-TEST(MultiLogStore, DiscardedStagingNeverFlushes) {
-  Env env;
-  const auto iv = graph::VertexIntervals::uniform(20, 10);
-  MultiLogStore store(env.storage, "t", iv,
-                      {.record_size = 8, .staging_records = 64});
-  auto staging = store.make_staging();
-  append_record_staged<std::uint32_t>(store, staging, 3, 7);
-  staging.discard();
-  store.flush_staging(staging);
-  EXPECT_EQ(store.produced_count(0), 0u);
+TEST(MultiLogStore, ConcurrentChunksCommitLikeOneSerialChunk) {
+  // The commit-order contract: producers fill chunks of random size
+  // concurrently, each batch commits them in chunk order (big enough to
+  // group and encode on several threads), and the logs — the generation
+  // blob's pages and every interval's stream — equal a one-thread oracle
+  // that commits each batch's records as one chunk. Both formats, with and
+  // without the fold, with background eviction.
+  for (const OnDiskFormat format : {OnDiskFormat::kV1, OnDiskFormat::kV2}) {
+    for (const bool fold : {false, true}) {
+      SCOPED_TRACE(::testing::Message()
+                   << (format == OnDiskFormat::kV1 ? "v1" : "v2")
+                   << (fold ? " fold" : " no fold"));
+      MultiLogConfig cfg{.record_size = sizeof(TestRecord),
+                         .format = format,
+                         .payload_varint = kPayloadVarint<std::uint32_t>,
+                         .evict_batch_pages = 2};
+      if (fold) {
+        cfg.combine = record_combiner<std::uint32_t>(
+            [](std::uint32_t a, std::uint32_t b) { return a + b; });
+      }
+      const auto iv = graph::VertexIntervals::uniform(3000, 6);
+      Env env;
+      Env oracle_env;
+      ssd::AsyncIo io(2);
+      MultiLogConfig concurrent_cfg = cfg;
+      concurrent_cfg.async_io = &io;
+      MultiLogStore store(env.storage, "t", iv, concurrent_cfg);
+      MultiLogStore oracle(oracle_env.storage, "t", iv, cfg);
+      constexpr int kThreads = 4, kChunksPerThread = 64, kBatches = 4;
+      for (int batch = 0; batch < kBatches; ++batch) {
+        std::vector<std::vector<TestRecord>> chunks(kThreads *
+                                                    kChunksPerThread);
+        {
+          ThreadPool pool(kThreads);
+          std::vector<std::future<void>> futures;
+          for (int t = 0; t < kThreads; ++t) {
+            futures.push_back(pool.submit([&, t] {
+              SplitMix64 rng(static_cast<std::uint64_t>(batch * 31 + t + 1));
+              for (int c = t; c < kThreads * kChunksPerThread;
+                   c += kThreads) {
+                const auto n = rng.next_below(400);
+                for (std::uint64_t k = 0; k < n; ++k) {
+                  chunks[c].push_back(
+                      {static_cast<VertexId>(rng.next_below(3000)),
+                       static_cast<std::uint32_t>(rng.next_below(1000))});
+                }
+              }
+            }));
+          }
+          for (auto& f : futures) f.get();
+        }
+        std::vector<TestRecord> serial;
+        for (const auto& chunk : chunks) {
+          serial.insert(serial.end(), chunk.begin(), chunk.end());
+        }
+        commit_records<std::uint32_t>(store, chunks);
+        ThreadCount one(1);
+        commit_records<std::uint32_t>(
+            oracle, std::vector<std::vector<TestRecord>>{serial});
+      }
+      store.swap_generations();
+      oracle.swap_generations();
+      EXPECT_EQ(blob_bytes(env.storage, "t/log_gen0"),
+                blob_bytes(oracle_env.storage, "t/log_gen0"));
+      for (IntervalId i = 0; i < iv.count(); ++i) {
+        EXPECT_EQ(store.current_count(i), oracle.current_count(i));
+        EXPECT_EQ(store.current_sends(i), oracle.current_sends(i));
+        EXPECT_EQ(store.current_pages(i), oracle.current_pages(i));
+        std::vector<std::byte> a;
+        std::vector<std::byte> b;
+        store.load_interval(i, a);
+        oracle.load_interval(i, b);
+        EXPECT_EQ(a, b) << "interval " << i;
+      }
+    }
+  }
 }
 
 TEST(MultiLogStore, StagedAppendsWithConcurrentDrainsMatchOracle) {
-  // The §V.F concurrency surface under worst-case staging: N producers with
-  // tiny (2-record) staging buffers and background eviction race a drainer
-  // that empties random produce intervals, across several generation swaps.
-  // Every message must land exactly once — in a drain or in the swapped-in
-  // log — matching a single-threaded replay of the producers' RNG streams.
+  // The §V.F concurrency surface: producers fill 2-record chunks
+  // concurrently, the main thread commits them while a drainer empties
+  // random produce intervals and background eviction runs, across several
+  // generation swaps. Every message must land exactly once — in a drain or
+  // in the swapped-in log — matching a replay of the producers' RNG streams.
   Env env;
   const auto iv = graph::VertexIntervals::uniform(64, 8);
   ssd::AsyncIo io(2);
   MultiLogStore store(env.storage, "t", iv,
-                      {.record_size = 8, .staging_records = 2,
-                       .evict_batch_pages = 2, .async_io = &io});
+                      {.record_size = 8, .evict_batch_pages = 2,
+                       .async_io = &io});
   constexpr int kThreads = 4, kPerThread = 3000, kRounds = 3;
   const auto payload = [](int round, int t, int k) {
     return static_cast<std::uint32_t>((round * kThreads + t) * kPerThread + k);
@@ -450,6 +531,21 @@ TEST(MultiLogStore, StagedAppendsWithConcurrentDrainsMatchOracle) {
   std::map<VertexId, std::multiset<std::uint32_t>> actual;
   std::vector<std::byte> drained;
   for (int round = 0; round < kRounds; ++round) {
+    std::vector<std::vector<TestRecord>> sends(kThreads);
+    {
+      ThreadPool pool(kThreads);
+      std::vector<std::future<void>> futures;
+      for (int t = 0; t < kThreads; ++t) {
+        futures.push_back(pool.submit([&, t] {
+          SplitMix64 rng(thread_seed(round, t));
+          for (int k = 0; k < kPerThread; ++k) {
+            const auto dst = static_cast<VertexId>(rng.next_below(64));
+            sends[t].push_back({dst, payload(round, t, k)});
+          }
+        }));
+      }
+      for (auto& f : futures) f.get();
+    }
     std::atomic<bool> stop{false};
     std::thread drainer([&] {
       SplitMix64 rng(static_cast<std::uint64_t>(997 + round));
@@ -458,22 +554,8 @@ TEST(MultiLogStore, StagedAppendsWithConcurrentDrainsMatchOracle) {
             static_cast<IntervalId>(rng.next_below(iv.count())), drained);
       }
     });
-    {
-      ThreadPool pool(kThreads);
-      std::vector<std::future<void>> futures;
-      for (int t = 0; t < kThreads; ++t) {
-        futures.push_back(pool.submit([&, t] {
-          auto staging = store.make_staging();
-          SplitMix64 rng(thread_seed(round, t));
-          for (int k = 0; k < kPerThread; ++k) {
-            const auto dst = static_cast<VertexId>(rng.next_below(64));
-            append_record_staged<std::uint32_t>(store, staging, dst,
-                                                payload(round, t, k));
-          }
-          store.flush_staging(staging);
-        }));
-      }
-      for (auto& f : futures) f.get();
+    for (int t = 0; t < kThreads; ++t) {
+      commit_sends(store, sends[t], 2, 256);
     }
     stop.store(true, std::memory_order_relaxed);
     drainer.join();
@@ -516,8 +598,9 @@ TEST(MultiLogStore, RejectsBadRecordGeometry) {
 
 // ---- produce-side fold ------------------------------------------------------
 //
-// Parameterized over the on-disk format and the staging depth: depth 1
-// flushes every record into the fold buffer on its own, depth 64 in chunks.
+// Parameterized over the on-disk format and the producer chunk depth (the
+// records per chunk each commit receives): depth 1 makes every record a
+// chunk of its own, depth 64 fills chunks.
 
 class LogFold
     : public ::testing::TestWithParam<std::tuple<OnDiskFormat, std::size_t>> {
@@ -525,12 +608,13 @@ class LogFold
   MultiLogConfig config() const {
     MultiLogConfig cfg{.record_size = sizeof(TestRecord),
                        .format = std::get<0>(GetParam()),
-                       .payload_varint = kPayloadVarint<std::uint32_t>,
-                       .staging_records = std::get<1>(GetParam())};
+                       .payload_varint = kPayloadVarint<std::uint32_t>};
     cfg.combine = record_combiner<std::uint32_t>(
         [](std::uint32_t a, std::uint32_t b) { return a + b; });
     return cfg;
   }
+
+  static std::size_t depth() { return std::get<1>(GetParam()); }
 
   /// Interval i's current log decoded to raw records, under either format.
   static std::vector<TestRecord> load(MultiLogStore& store, IntervalId i) {
@@ -566,15 +650,15 @@ TEST_P(LogFold, DuplicateDestinationsCollapseToOneRecord) {
   Env env;
   const auto iv = graph::VertexIntervals::uniform(256, 64);
   MultiLogStore store(env.storage, "t", iv, config());
-  auto staging = store.make_staging();
+  std::vector<TestRecord> sends;
   Sums expected;
   SplitMix64 rng(5);
   for (std::uint32_t k = 0; k < 20000; ++k) {
     const auto dst = static_cast<VertexId>(rng.next_below(256));
-    append_record_staged<std::uint32_t>(store, staging, dst, k % 7 + 1);
+    sends.push_back({dst, k % 7 + 1});
     expected[dst] += k % 7 + 1;
   }
-  store.flush_staging(staging);
+  commit_sends(store, sends, depth());
   store.swap_generations();
   Sums actual;
   for (IntervalId i = 0; i < iv.count(); ++i) {
@@ -602,16 +686,16 @@ TEST_P(LogFold, SpilledStreamStillDecodes) {
   Env env;
   const auto iv = graph::VertexIntervals::uniform(8192, 4096);
   MultiLogStore store(env.storage, "t", iv, config());
-  auto staging = store.make_staging();
+  std::vector<TestRecord> sends;
   Sums expected;
   SplitMix64 rng(6);
   constexpr std::uint32_t kSends = 60000;
   for (std::uint32_t k = 0; k < kSends; ++k) {
     const auto dst = static_cast<VertexId>(rng.next_below(8192));
-    append_record_staged<std::uint32_t>(store, staging, dst, k);
+    sends.push_back({dst, k});
     expected[dst] += k;
   }
-  store.flush_staging(staging);
+  commit_sends(store, sends, depth());
   store.swap_generations();
   Sums actual;
   std::uint64_t stored = 0;
@@ -635,11 +719,11 @@ TEST_P(LogFold, ProducedCountAndProduceSeqCountSends) {
   Env env;
   const auto iv = graph::VertexIntervals::uniform(20, 10);
   MultiLogStore store(env.storage, "t", iv, config());
-  auto staging = store.make_staging();
+  std::vector<TestRecord> sends;
   for (std::uint32_t k = 0; k < 1500; ++k) {
-    append_record_staged<std::uint32_t>(store, staging, 10 + k % 3, 1);
+    sends.push_back({10 + k % 3, 1});
   }
-  store.flush_staging(staging);
+  commit_sends(store, sends, depth());
   // Three destinations: the buffer folded twice and holds the rest.
   EXPECT_EQ(store.produced_count(1), 1500u);
   EXPECT_EQ(store.produce_seq(1), 1500u);
@@ -658,11 +742,11 @@ TEST_P(LogFold, SwapGenerationsFlushesTheBuffer) {
   Env env;
   const auto iv = graph::VertexIntervals::uniform(20, 10);
   MultiLogStore store(env.storage, "t", iv, config());
-  auto staging = store.make_staging();
+  std::vector<TestRecord> sends;
   for (std::uint32_t k = 0; k < 100; ++k) {  // well under one buffer
-    append_record_staged<std::uint32_t>(store, staging, 5 + k % 2, k);
+    sends.push_back({5 + k % 2, k});
   }
-  store.flush_staging(staging);
+  commit_sends(store, sends, depth());
   EXPECT_EQ(store.fold_stats().records_folded, 0u);  // still buffered
   store.swap_generations();
   EXPECT_EQ(store.current_count(0), 2u);
@@ -680,11 +764,11 @@ TEST_P(LogFold, DrainProduceIntervalFlushesTheBuffer) {
   Env env;
   const auto iv = graph::VertexIntervals::uniform(20, 10);
   MultiLogStore store(env.storage, "t", iv, config());
-  auto staging = store.make_staging();
+  std::vector<TestRecord> sends;
   for (std::uint32_t k = 0; k < 1000; ++k) {
-    append_record_staged<std::uint32_t>(store, staging, 15 + k % 4, 2);
+    sends.push_back({15 + k % 4, 2});
   }
-  store.flush_staging(staging);
+  commit_sends(store, sends, depth());
   std::vector<std::byte> bytes;
   EXPECT_EQ(store.drain_produce_interval(1, bytes), 1000u);  // sends
   EXPECT_EQ(sum_by_dst(decode(store, bytes)),
@@ -704,11 +788,11 @@ TEST_P(LogFold, ResetAllDropsTheBuffer) {
   Env env;
   const auto iv = graph::VertexIntervals::uniform(20, 10);
   MultiLogStore store(env.storage, "t", iv, config());
-  auto staging = store.make_staging();
+  std::vector<TestRecord> sends;
   for (std::uint32_t k = 0; k < 300; ++k) {
-    append_record_staged<std::uint32_t>(store, staging, k % 20, 1);
+    sends.push_back({k % 20, 1});
   }
-  store.flush_staging(staging);
+  commit_sends(store, sends, depth());
   store.reset_all();
   EXPECT_EQ(store.produced_count(0), 0u);
   store.swap_generations();
@@ -719,36 +803,60 @@ TEST_P(LogFold, ResetAllDropsTheBuffer) {
 }
 
 TEST_P(LogFold, ConcurrentProducersMatchOracle) {
-  // The swap-out fold under contention: producers race on a few intervals
-  // about as wide as half a buffer, so folds both put survivors back and
-  // spill them, with background eviction on. Per-destination sums and send
-  // counts must match a serial replay.
+  // Producers fill chunks concurrently for a few intervals about as wide as
+  // half a buffer, so folds both keep survivors and spill them, with
+  // background eviction on. Committed in chunk order, one batch per
+  // producer, the logs equal a one-thread oracle byte for byte (each
+  // batch's records as one chunk), and per-destination sums and send
+  // counts match a serial replay.
   Env env;
+  Env oracle_env;
   const auto iv = graph::VertexIntervals::uniform(1200, 300);
   ssd::AsyncIo io(2);
   MultiLogConfig cfg = config();
   cfg.evict_batch_pages = 2;
+  MultiLogStore oracle(oracle_env.storage, "t", iv, cfg);
   cfg.async_io = &io;
   MultiLogStore store(env.storage, "t", iv, cfg);
   constexpr int kThreads = 4, kPerThread = 20000;
+  std::vector<std::vector<std::vector<TestRecord>>> chunks(kThreads);
   {
     ThreadPool pool(kThreads);
     std::vector<std::future<void>> futures;
     for (int t = 0; t < kThreads; ++t) {
       futures.push_back(pool.submit([&, t] {
-        auto staging = store.make_staging();
         SplitMix64 rng(static_cast<std::uint64_t>(t + 1));
         for (int k = 0; k < kPerThread; ++k) {
-          append_record_staged<std::uint32_t>(
-              store, staging, static_cast<VertexId>(rng.next_below(1200)),
-              static_cast<std::uint32_t>(k % 5));
+          if (k % depth() == 0) chunks[t].emplace_back();
+          chunks[t].back().push_back(
+              {static_cast<VertexId>(rng.next_below(1200)),
+               static_cast<std::uint32_t>(k % 5)});
         }
-        store.flush_staging(staging);
       }));
     }
     for (auto& f : futures) f.get();
   }
+  for (const auto& batch : chunks) {
+    std::vector<TestRecord> serial;
+    for (const auto& chunk : batch) {
+      serial.insert(serial.end(), chunk.begin(), chunk.end());
+    }
+    commit_records<std::uint32_t>(store, batch);
+    ThreadCount one(1);
+    commit_records<std::uint32_t>(
+        oracle, std::vector<std::vector<TestRecord>>{serial});
+  }
   store.swap_generations();
+  oracle.swap_generations();
+  EXPECT_EQ(blob_bytes(env.storage, "t/log_gen0"),
+            blob_bytes(oracle_env.storage, "t/log_gen0"));
+  for (IntervalId i = 0; i < iv.count(); ++i) {
+    std::vector<std::byte> a;
+    std::vector<std::byte> b;
+    store.load_interval(i, a);
+    oracle.load_interval(i, b);
+    EXPECT_EQ(a, b) << "interval " << i;
+  }
   Sums expected;
   for (int t = 0; t < kThreads; ++t) {
     SplitMix64 rng(static_cast<std::uint64_t>(t + 1));
@@ -770,13 +878,28 @@ TEST_P(LogFold, ConcurrentProducersMatchOracle) {
 }
 
 TEST_P(LogFold, ConcurrentDrainsMatchOracle) {
-  // Drains race producers whose full buffers are being folded outside the
-  // lock: every send must be delivered exactly once, by a drain or by the
-  // swap, and the drained plus swapped send counts must add up.
+  // Drains race the commits of chunks that producers filled concurrently:
+  // every send must be delivered exactly once, by a drain or by the swap,
+  // and the drained plus swapped send counts must add up.
   Env env;
   const auto iv = graph::VertexIntervals::uniform(1200, 300);
   MultiLogStore store(env.storage, "t", iv, config());
   constexpr int kThreads = 3, kPerThread = 20000;
+  std::vector<std::vector<TestRecord>> produced(kThreads);
+  {
+    ThreadPool pool(kThreads);
+    std::vector<std::future<void>> futures;
+    for (int t = 0; t < kThreads; ++t) {
+      futures.push_back(pool.submit([&, t] {
+        SplitMix64 rng(static_cast<std::uint64_t>(t + 100));
+        for (int k = 0; k < kPerThread; ++k) {
+          produced[t].push_back(
+              {static_cast<VertexId>(rng.next_below(1200)), 1});
+        }
+      }));
+    }
+    for (auto& f : futures) f.get();
+  }
   std::atomic<bool> stop{false};
   std::vector<std::byte> drained;
   std::uint64_t drained_sends = 0;
@@ -787,21 +910,8 @@ TEST_P(LogFold, ConcurrentDrainsMatchOracle) {
           static_cast<IntervalId>(rng.next_below(iv.count())), drained);
     }
   });
-  {
-    ThreadPool pool(kThreads);
-    std::vector<std::future<void>> futures;
-    for (int t = 0; t < kThreads; ++t) {
-      futures.push_back(pool.submit([&, t] {
-        auto staging = store.make_staging();
-        SplitMix64 rng(static_cast<std::uint64_t>(t + 100));
-        for (int k = 0; k < kPerThread; ++k) {
-          append_record_staged<std::uint32_t>(
-              store, staging, static_cast<VertexId>(rng.next_below(1200)), 1);
-        }
-        store.flush_staging(staging);
-      }));
-    }
-    for (auto& f : futures) f.get();
+  for (const auto& thread_sends : produced) {
+    commit_sends(store, thread_sends, depth(), 512);
   }
   stop.store(true, std::memory_order_relaxed);
   drainer.join();
@@ -825,6 +935,7 @@ TEST_P(LogFold, ConcurrentDrainsMatchOracle) {
   EXPECT_EQ(actual, expected);
 }
 
+// The "_staging<depth>" suffix names the producer chunk depth.
 INSTANTIATE_TEST_SUITE_P(
     FormatsAndDepths, LogFold,
     ::testing::Combine(::testing::Values(OnDiskFormat::kV1, OnDiskFormat::kV2),
@@ -878,14 +989,13 @@ TEST(LogFold, RuntimeRecordSizeFoldsAgainstOracle) {
     const auto iv = graph::VertexIntervals::from_boundaries({0, 64, 64 + 4096});
     MultiLogConfig cfg{.record_size = sizeof(WideRecord),
                        .format = format,
-                       .payload_varint = kPayloadVarint<Pair>,
-                       .staging_records = 16};
+                       .payload_varint = kPayloadVarint<Pair>};
     cfg.combine = record_combiner<Pair>([](Pair a, Pair b) {
       return Pair{a.sum + b.sum, std::min(a.min, b.min)};
     });
     MultiLogStore store(env.storage, "t", iv, cfg);
     ASSERT_EQ(iv.count(), 2u);
-    auto staging = store.make_staging();
+    std::vector<WideRecord> sends;
     std::map<VertexId, std::pair<std::uint64_t, std::uint32_t>> expected;
     SplitMix64 rng(11);
     constexpr std::uint32_t kSends = 40000;
@@ -893,14 +1003,14 @@ TEST(LogFold, RuntimeRecordSizeFoldsAgainstOracle) {
       const auto dst = static_cast<VertexId>(
           k % 2 == 0 ? rng.next_below(64) : 64 + rng.next_below(4096));
       const Pair m{k % 5 + 1, static_cast<std::uint32_t>(rng.next_below(1000))};
-      append_record_staged<Pair>(store, staging, dst, m);
+      sends.push_back({dst, m});
       auto [it, fresh] = expected.try_emplace(dst, m.sum, m.min);
       if (!fresh) {
         it->second.first += m.sum;
         it->second.second = std::min(it->second.second, m.min);
       }
     }
-    store.flush_staging(staging);
+    commit_sends(store, sends, 16);
     store.swap_generations();
     EXPECT_EQ(store.current_count(0), 64u);
     EXPECT_GT(store.current_pages(1), 0u);

@@ -319,7 +319,9 @@ TEST(SortGroupEngineStats, OnlyChainsWithLogInputCountAGroupPath) {
   // A BSP wave releases every interval, so superstep 0 — whose logs are
   // all empty (BFS starts from a sticky source) — runs chains but no
   // sort-and-group path; later supersteps count one path per fused group
-  // that had input.
+  // that had input. Pinned to push: a pulled interval's input is gathered,
+  // not grouped.
+  ScopedEnv push("MLVC_DIRECTION", "push");
   auto opts = testing_options();
   opts.memory_budget_bytes = 256_KiB;  // several intervals
   const auto [values, stats] =

@@ -274,23 +274,22 @@ TEST(Tools, RunFlagsBeatEnv) {
             0);
   const bool uring = ssd::shared_io_backend_probe().uring_available;
   ScopedEnv backend("MLVC_IO_BACKEND", "threadpool");
-  ScopedEnv staging("MLVC_SCATTER_STAGING", "64");
+  ScopedEnv schedule("MLVC_SCHEDULE", "log-bytes");
   // The run would throw on this value if it read it instead of --io-depth.
   ScopedEnv depth("MLVC_URING_DEPTH", "junk");
   const std::string json = (dir.path() / "stats.json").string();
   ASSERT_EQ(run_tool(std::string(MLVC_TOOL_RUN) + " --graph " + graph +
-                     " --app bfs --budget 1M --page-size 4K --staging 0" +
-                     " --io-depth 8" + (uring ? " --io-backend uring" : "") +
-                     " --json " + json),
+                     " --app bfs --budget 1M --page-size 4K" +
+                     " --schedule hub-degree --io-depth 8" +
+                     (uring ? " --io-backend uring" : "") + " --json " + json),
             0);
   std::ifstream in(json);
   std::stringstream buf;
   buf << in.rdbuf();
   const std::string out = buf.str();
-  // --staging 0 is the per-record locked append: no staging flushes.
-  const auto at = out.find("\"scatter_flush_count\":", out.find("\"totals\""));
-  ASSERT_NE(at, std::string::npos) << out;
-  EXPECT_EQ(out.compare(at, 24, "\"scatter_flush_count\":0,"), 0) << out;
+  // The run reports the policy it used: the flag's, not the variable's.
+  EXPECT_NE(out.find("\"schedule_policy\":\"hub-degree\""), std::string::npos)
+      << out;
   if (uring) {
     EXPECT_NE(out.find("\"io_backend\":\"uring\""), std::string::npos) << out;
   }

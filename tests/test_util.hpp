@@ -7,6 +7,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/parallel.hpp"
 #include "core/options.hpp"
 
 namespace mlvc {
@@ -44,6 +45,29 @@ class ScopedEnv {
 
  private:
   std::vector<std::pair<std::string, std::optional<std::string>>> saved_;
+};
+
+/// Pins the OpenMP team size (the engine's compute threads) for a scope.
+class ThreadCount {
+ public:
+  explicit ThreadCount(unsigned n) {
+#ifdef _OPENMP
+    previous_ = omp_get_max_threads();
+    omp_set_num_threads(static_cast<int>(n));
+#else
+    (void)n;
+#endif
+  }
+  ~ThreadCount() {
+#ifdef _OPENMP
+    omp_set_num_threads(previous_);
+#endif
+  }
+  ThreadCount(const ThreadCount&) = delete;
+  ThreadCount& operator=(const ThreadCount&) = delete;
+
+ private:
+  int previous_ = 1;
 };
 
 /// Small budgets + small pages so even tiny test graphs exercise the

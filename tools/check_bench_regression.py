@@ -8,9 +8,11 @@ in a way absolute numbers are not. Two suites:
 
   --suite scatter (default)
     BM_ScatterAppendStaged vs BM_ScatterAppendLocked per (threads,
-    intervals) configuration — what the lock-free staging commit bought.
-    Configurations with fewer than --min-threads producer threads are
-    reported but not enforced: the staging win is a contention effect.
+    intervals) configuration — what the engine's produce path (lock-free
+    chunk fill, then one chunk-ordered commit per batch) buys over the
+    per-record locked append. Configurations with fewer than --min-threads
+    producer threads are reported but not enforced: the win is a
+    contention effect.
 
   --suite io
     BM_IoRandReadUring vs BM_IoRandReadThreadPool per (read size, queue
@@ -93,7 +95,7 @@ def load_runs(path):
 
 
 def load_scatter_ratios(path, min_threads):
-    """Map 'threads/intervals[/depth]' -> staged/locked items_per_second."""
+    """Map 'threads/intervals' -> staged/locked items_per_second."""
     locked = {}
     staged = {}
     for bench, args, b in load_runs(path):
@@ -102,15 +104,15 @@ def load_scatter_ratios(path, min_threads):
             continue
         if bench == "BM_ScatterAppendLocked" and len(args) >= 2:
             locked[(args[0], args[1])] = ips
-        elif bench == "BM_ScatterAppendStaged" and len(args) >= 3:
-            staged[(args[0], args[1], args[2])] = ips
+        elif bench == "BM_ScatterAppendStaged" and len(args) >= 2:
+            staged[(args[0], args[1])] = ips
     ratios = {}
     enforced = {}
-    for (t, iv, depth), s_ips in sorted(staged.items()):
+    for (t, iv), s_ips in sorted(staged.items()):
         l_ips = locked.get((t, iv))
         if not l_ips:
             continue
-        key = f"{t}t/{iv}iv/depth{depth}"
+        key = f"{t}t/{iv}iv"
         ratios[key] = s_ips / l_ips
         if int(t) >= min_threads:
             enforced[key] = ratios[key]

@@ -150,10 +150,6 @@ int main(int argc, char** argv) {
       .option("seed", "random seed", "1")
       .option("page-size", "modeled SSD page size", "16K")
       .option("channels", "modeled SSD channels", "8")
-      .option("staging",
-              "produce-path staging depth in records, 0 = locked (default "
-              "MLVC_SCATTER_STAGING or 64)",
-              "-")
       .option("adj-cache", "adjacency page-cache bytes, 0 = off", "0")
       .option("io-backend",
               "threadpool | uring, falls back if unsupported (default "
@@ -192,10 +188,10 @@ int main(int argc, char** argv) {
 
   try {
     // Flag beats env: every table flag given (--format, --schedule,
-    // --direction, --staging, --io-backend, --io-depth, --devices,
-    // --stripe) becomes its MLVC_* variable, which the engine and Storage
-    // resolve at construction. Resolving the engine rows once here also
-    // rejects a bad value before the graph loads.
+    // --direction, --io-backend, --io-depth, --devices, --stripe) becomes
+    // its MLVC_* variable, which the engine and Storage resolve at
+    // construction. Resolving the engine rows once here also rejects a bad
+    // value before the graph loads.
     env::pin_flags(args);
     const OnDiskFormat format =
         core::apply_env_overrides(core::EngineOptions{}).on_disk_format;
