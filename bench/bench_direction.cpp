@@ -45,6 +45,8 @@ namespace {
 
 struct RunResult {
   std::uint64_t log_bytes = 0;  // kMessageLog read + written (physical)
+  std::uint64_t value_read_bytes = 0;  // kVertexValue read: values and
+                                       // captured broadcasts
   std::uint64_t intervals_pulled = 0;
   std::uint64_t log_bytes_avoided = 0;
   double modeled_seconds = 0;
@@ -93,6 +95,8 @@ RunResult run_direction(const graph::CsrGraph& csr, App app,
   RunResult r;
   const auto log = stats.category_bytes(ssd::IoCategory::kMessageLog);
   r.log_bytes = log.bytes_read + log.bytes_written;
+  r.value_read_bytes =
+      stats.category_bytes(ssd::IoCategory::kVertexValue).bytes_read;
   r.intervals_pulled = stats.intervals_pulled();
   r.log_bytes_avoided = stats.log_bytes_avoided();
   r.modeled_seconds = stats.modeled_work_seconds();
@@ -164,8 +168,10 @@ int run(const std::string& out_path) {
     const RunResult push = best_of(DirectionMode::kPush);
     const RunResult adaptive = best_of(DirectionMode::kAdaptive);
     std::cout << "  " << name << "/push: log " << push.log_bytes
+              << " B, value reads " << push.value_read_bytes
               << " B, modeled " << push.modeled_seconds << "s\n"
               << "  " << name << "/adaptive: log " << adaptive.log_bytes
+              << " B, value reads " << adaptive.value_read_bytes
               << " B, modeled " << adaptive.modeled_seconds << "s, "
               << adaptive.intervals_pulled << " intervals pulled, "
               << adaptive.log_bytes_avoided << " log B avoided\n";
@@ -208,6 +214,14 @@ int run(const std::string& out_path) {
                     static_cast<double>(push.log_bytes),
                     static_cast<double>(adaptive.log_bytes), log_ratio,
                     enforce_log});
+    rows.push_back({name + "_value_read_bytes",
+                    static_cast<double>(push.value_read_bytes),
+                    static_cast<double>(adaptive.value_read_bytes),
+                    adaptive.value_read_bytes > 0
+                        ? static_cast<double>(push.value_read_bytes) /
+                              static_cast<double>(adaptive.value_read_bytes)
+                        : 0,
+                    false});
     rows.push_back({name + "_modeled_seconds", push.modeled_seconds,
                     adaptive.modeled_seconds, modeled_ratio, true});
     rows.push_back({name + "_wall_seconds", push.wall_seconds,

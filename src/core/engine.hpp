@@ -419,8 +419,9 @@ class MultiLogVCEngine {
         MLVC_CHECK_MSG(
             pull_available_,
             "checkpoint carries pull-direction state but this engine cannot "
-            "pull (no stored transpose, asynchronous model, or --direction "
-            "push) — reload under a pull-capable configuration");
+            "pull (no stored transpose, asynchronous model, a broadcast "
+            "table larger than the sort budget, or --direction push) — "
+            "reload under a pull-capable configuration");
         MLVC_CHECK(dirs.size() == direction_next_.size());
         std::copy(dirs.begin(), dirs.end(), direction_next_.begin());
         any_pull_next_ = any_dir;
@@ -429,7 +430,7 @@ class MultiLogVCEngine {
         } else {
           for (const VertexId v : bids) frontier_cur_.set(v);
         }
-        if (n_bcast > 0) broadcast_cur_->scatter(bids, bmsgs);
+        broadcast_cur_->scatter(bids, bmsgs);
       }
     }
     // Drop the edge-log cache and any un-applied structural updates.
@@ -740,6 +741,9 @@ class MultiLogVCEngine {
       reason = "pull requires the synchronous model";
     } else if (!options_.enable_combine) {
       reason = "pull requires combining enabled";
+    } else if (pull_table_bytes() > options_.sort_budget()) {
+      reason = "pull's broadcast table (V x message bytes) exceeds the sort "
+               "budget";
     }
     if (reason != nullptr) {
       stats_.direction = to_string(DirectionMode::kPush);
@@ -960,49 +964,44 @@ class MultiLogVCEngine {
     return g;
   }
 
-  /// §4e dense-gather fast path: when the captured-broadcast table fits a
-  /// quarter of the budget, it is materialized once per superstep (shared
-  /// by every pulled interval) and indexed per in-edge directly. Otherwise
-  /// each pull batch sorts, dedups and gathers its own frontier sources.
-  bool pull_dense() const {
+  /// §4e broadcast table, charged to the sort slice (X%) while a superstep
+  /// pulls: a pulled chain's regenerated side never sorts.
+  std::uint64_t pull_table_bytes() const {
     return static_cast<std::uint64_t>(graph_.num_vertices()) *
-               sizeof(Message) <=
-           options_.memory_budget_bytes / 4;
+           sizeof(Message);
   }
 
-  /// Materialize this superstep's captured broadcasts as a vertex-indexed
-  /// table (validity = frontier_cur_), one store gather for all pulled
-  /// intervals. Runs on the main thread at wave start, so pull chains
+  /// Read this superstep's captured broadcasts once into a vertex-indexed
+  /// table (valid where frontier_cur_ is set) shared by every pulled
+  /// interval. Runs on the main thread at wave start, so pull chains
   /// prepared on I/O threads only read it.
-  void build_pull_dense() {
-    pull_dense_msgs_.assign(graph_.num_vertices(), Message{});
+  std::vector<Message> gather_pull_table() {
+    std::vector<Message> table(graph_.num_vertices());
     std::vector<VertexId> ids;
     frontier_cur_.for_each_set(
         [&](std::size_t u) { ids.push_back(static_cast<VertexId>(u)); });
-    if (ids.empty()) return;
     ScopedAccumulator io_time(step_io_seconds_);
-    const std::vector<Message> msgs = broadcast_cur_->gather(ids);
-    for (std::size_t k = 0; k < ids.size(); ++k) {
-      pull_dense_msgs_[ids[k]] = msgs[k];
-    }
+    broadcast_cur_->gather_into(ids, table);
+    return table;
   }
 
   /// §4e pull front-end for one interval: synthesize its grouped message
   /// input by streaming the stored transpose CSR in loader-budget batches,
-  /// filtering in-neighbors against the broadcast frontier, gathering their
-  /// captured messages (the dense table, or the broadcast value store), and
-  /// folding one combined record per receiver — zero log writes, decodes,
-  /// or sort_and_group for the regenerated side. Records that DID land in
-  /// the interval's log (raw send() is never suppressed) are loaded the
-  /// normal way and merged in, so pull stays correct for apps mixing send
-  /// styles. The result feeds the unchanged collect_actives /
+  /// filtering in-neighbors against the broadcast frontier, indexing their
+  /// captured messages in the wave's broadcast table, and folding one
+  /// combined record per receiver — zero log writes, decodes, broadcast
+  /// reads, or sort_and_group for the regenerated side. Records that DID
+  /// land in the interval's log (raw send() is never suppressed) are loaded
+  /// the normal way and merged in, so pull stays correct for apps mixing
+  /// send styles. The result feeds the unchanged collect_actives /
   /// process_interval machinery. Reads only wave-start state, so it may run
   /// on an I/O thread (instrument = false) like any other chain prep.
-  GroupData prepare_pull_group(IntervalId interval, bool instrument) {
+  GroupData prepare_pull_group(IntervalId interval,
+                               std::span<const Message> table,
+                               bool instrument) {
     GroupData logs = prepare_group(interval, interval + 1, instrument);
     const VertexId vb = graph_.intervals().begin(interval);
     const VertexId ve = graph_.intervals().end(interval);
-    const bool dense = pull_dense();
     double fold_seconds = 0;
 
     std::vector<Rec> regen;  // one combined record per receiver, ascending
@@ -1011,8 +1010,6 @@ class MultiLogVCEngine {
     const std::size_t batch_budget =
         std::max<std::size_t>(options_.loader_budget() / 2, 64_KiB);
     std::vector<VertexId> ids;
-    std::vector<VertexId> srcs;
-    std::vector<Message> msgs;
     VertexId v = vb;
     while (v < ve) {
       ids.clear();
@@ -1030,23 +1027,6 @@ class MultiLogVCEngine {
         if (instrument) io_time.emplace(step_io_seconds_);
         tloader_->load(interval, ids, adj);
       }
-      if (!dense) {
-        // Unique frontier sources of this batch -> one coalesced gather.
-        srcs.clear();
-        for (std::size_t k = 0; k < ids.size(); ++k) {
-          const auto span = adj.spans[k];
-          for (std::size_t e = 0; e < span.length; ++e) {
-            const VertexId u = adj.adjacency[span.offset + e];
-            if (frontier_cur_.test(u)) srcs.push_back(u);
-          }
-        }
-        std::sort(srcs.begin(), srcs.end());
-        srcs.erase(std::unique(srcs.begin(), srcs.end()), srcs.end());
-        if (srcs.empty()) continue;
-        std::optional<ScopedAccumulator> io_time;
-        if (instrument) io_time.emplace(step_io_seconds_);
-        msgs = broadcast_cur_->gather(srcs);
-      }
       ScopedAccumulator compute_time(instrument ? step_compute_seconds_
                                                 : fold_seconds);
       for (std::size_t k = 0; k < ids.size(); ++k) {
@@ -1056,12 +1036,7 @@ class MultiLogVCEngine {
         for (std::size_t e = 0; e < span.length; ++e) {
           const VertexId u = adj.adjacency[span.offset + e];
           if (!frontier_cur_.test(u)) continue;
-          const Message& m =
-              dense ? pull_dense_msgs_[u]
-                    : msgs[static_cast<std::size_t>(
-                          std::lower_bound(srcs.begin(), srcs.end(), u) -
-                          srcs.begin())];
-          acc = have ? combine_messages(app_, acc, m) : m;
+          acc = have ? combine_messages(app_, acc, table[u]) : table[u];
           have = true;
           ++regen_consumed;
         }
@@ -1073,37 +1048,34 @@ class MultiLogVCEngine {
     if (regen.empty()) return logs;
     // Merge the regenerated records into the log-side grouped sequence
     // (both ascending by dst; a shared dst becomes one group).
-    GroupData g;
-    g.begin = interval;
-    g.end = interval + 1;
-    g.consumed = logs.consumed + regen_consumed;
-    g.sort_group_seconds = logs.sort_group_seconds;
-    g.path = logs.path;
-    g.offthread_seconds = logs.offthread_seconds;
-    g.torn_bytes_dropped = logs.torn_bytes_dropped;
+    std::vector<Rec> records;
+    std::vector<std::size_t> offsets;
     const std::size_t n_log = logs.offsets.empty() ? 0 : logs.offsets.size() - 1;
-    g.records.reserve(logs.records.size() + regen.size());
+    records.reserve(logs.records.size() + regen.size());
     std::size_t li = 0, ri = 0;
     while (li < n_log || ri < regen.size()) {
-      g.offsets.push_back(g.records.size());
+      offsets.push_back(records.size());
       const VertexId ld =
           li < n_log ? logs.records[logs.offsets[li]].dst : kInvalidVertex;
       const VertexId rd = ri < regen.size() ? regen[ri].dst : kInvalidVertex;
       if (ld <= rd) {
-        g.records.insert(g.records.end(),
-                         logs.records.begin() +
-                             static_cast<std::ptrdiff_t>(logs.offsets[li]),
-                         logs.records.begin() +
-                             static_cast<std::ptrdiff_t>(logs.offsets[li + 1]));
+        records.insert(records.end(),
+                       logs.records.begin() +
+                           static_cast<std::ptrdiff_t>(logs.offsets[li]),
+                       logs.records.begin() +
+                           static_cast<std::ptrdiff_t>(logs.offsets[li + 1]));
         ++li;
       }
       if (rd <= ld) {
-        g.records.push_back(regen[ri]);
+        records.push_back(regen[ri]);
         ++ri;
       }
     }
-    g.offsets.push_back(g.records.size());
-    return g;
+    offsets.push_back(records.size());
+    logs.records = std::move(records);
+    logs.offsets = std::move(offsets);
+    logs.consumed += regen_consumed;
+    return logs;
   }
 
   /// Static full-fan-in load cost per interval (loader-estimated adjacency
@@ -1152,7 +1124,8 @@ class MultiLogVCEngine {
   /// kBsp, which the scheduler runs as fifo. Then §V.A.2 fusion applies to
   /// that order: runs of id-consecutive push intervals fuse greedily while
   /// their current logs fit the sort budget (prepare_group needs a
-  /// contiguous vertex range). A pulled interval is always a singleton.
+  /// contiguous vertex range), less the broadcast table in a superstep
+  /// that pulls. A pulled interval is always a singleton.
   /// Under kBsp this is the paper's barrier grouping exactly. Also records
   /// the wave-start quiesce marks: the produce logs are empty after the
   /// last generation swap, so anything past them later is sweep output.
@@ -1162,7 +1135,8 @@ class MultiLogVCEngine {
       sched.mark_ready(i, schedule_score(i), store_.current_bytes(i));
       sched.record_quiesce(i, store_.produce_seq(i));
     }
-    const std::uint64_t budget = options_.sort_budget();
+    const std::uint64_t budget =
+        options_.sort_budget() - (any_pull_cur_ ? pull_table_bytes() : 0);
     std::vector<Chain> chains;
     std::uint64_t acc = 0;
     for (IntervalId i = sched.pop(); i != kInvalidInterval; i = sched.pop()) {
@@ -1207,7 +1181,9 @@ class MultiLogVCEngine {
     if (options_.schedule_policy == SchedulePolicy::kHubDegree) {
       ensure_hub_scores();
     }
-    if (any_pull_cur_ && pull_dense()) build_pull_dense();
+    // Held for this wave only; empty in a superstep that does not pull.
+    const std::vector<Message> pull_table =
+        any_pull_cur_ ? gather_pull_table() : std::vector<Message>{};
     IntervalScheduler sched(options_.schedule_policy, n);
     const std::vector<Chain> chains = plan_wave(sched);
 
@@ -1215,7 +1191,7 @@ class MultiLogVCEngine {
         chains.size(), pipeline_enabled() ? 1 : 0,
         [&](std::size_t k, bool offthread) {
           const Chain& c = chains[k];
-          return c.pull ? prepare_pull_group(c.begin, !offthread)
+          return c.pull ? prepare_pull_group(c.begin, pull_table, !offthread)
                         : prepare_group(c.begin, c.end, !offthread);
         },
         [&](std::size_t k, GroupData& group) {
@@ -1664,6 +1640,8 @@ class MultiLogVCEngine {
       // §4e: persist this batch's captured broadcasts (ascending vertex ids,
       // so the scatter coalesces) and mark the frontier. Serial, main
       // thread — same discipline as the sticky/values post-pass above.
+      // Entries off the frontier are never read, so the gap vertices the
+      // scatter writes as Message{} are harmless.
       std::vector<VertexId> bids;
       std::vector<Message> bmsgs;
       for (std::size_t k = 0; k < batch.size(); ++k) {
@@ -1736,13 +1714,10 @@ class MultiLogVCEngine {
   /// Broadcast double-buffer: cur = messages captured last superstep (the
   /// pull front-end's gather source), next = captures in progress. The
   /// frontier bitsets mark which vertices actually broadcast. Blob-backed
-  /// like values_ so pull adds no O(V) host-memory term.
+  /// like values_; only a superstep that pulls holds cur in host memory,
+  /// as its broadcast table (gather_pull_table), inside the sort slice.
   std::unique_ptr<VertexValueStore<Message>> broadcast_cur_, broadcast_next_;
   DynamicBitset frontier_cur_, frontier_next_;
-  /// Dense-gather fast path: captured broadcasts indexed by vertex id,
-  /// rebuilt at the start of each wave that pulls (build_pull_dense) and
-  /// only when V x sizeof(Message) fits a quarter of the budget.
-  std::vector<Message> pull_dense_msgs_;
   /// plan_directions production history (suppressed sends included): the
   /// last two supersteps' messages_produced, for the trend extrapolation.
   std::uint64_t plan_produced_last_ = 0;

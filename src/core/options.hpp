@@ -65,8 +65,9 @@ struct EngineOptions {
   /// path; kAdaptive compares, per destination interval per superstep, the
   /// predicted push log traffic against the interval's stored in-edge bytes
   /// and pulls when push would move more. Pull needs a stored transpose, a
-  /// broadcast-send app (kHasPullGather) with a combine, and the synchronous
-  /// model; anything else falls back to push with the reason recorded in
+  /// broadcast-send app (kHasPullGather) with a combine, the synchronous
+  /// model, and a V x sizeof(Message) broadcast table that fits the sort
+  /// slice; anything else falls back to push with the reason recorded in
   /// RunStats. MLVC_DIRECTION overrides this.
   DirectionMode direction = DirectionMode::kPush;
 

@@ -80,6 +80,19 @@ class VertexValueStore {
     return spans;
   }
 
+  /// gather_spans()' reads, landed in a vertex-indexed table (gap vertices
+  /// of a run included) instead of a staging buffer.
+  void gather_into(std::span<const VertexId> vertices,
+                   std::span<Value> table) const {
+    MLVC_CHECK(table.size() == num_vertices_);
+    for_each_coalesced_run(vertices, [&](std::size_t first, std::size_t last) {
+      const VertexId vb = vertices[first];
+      blob_->read(static_cast<std::uint64_t>(vb) * sizeof(Value),
+                  table.data() + vb,
+                  (vertices[last] - vb + 1) * sizeof(Value));
+    });
+  }
+
   /// gather_spans() with the requested values picked out.
   std::vector<Value> gather(std::span<const VertexId> vertices) const {
     const Spans spans = gather_spans(vertices);
@@ -113,9 +126,10 @@ class VertexValueStore {
     });
   }
 
-  /// Scatter values back for an ascending vertex list with no prior gather
-  /// (read-modify-write at page granularity, like a real storage stack
-  /// would).
+  /// Write values for an ascending vertex list with no prior gather and no
+  /// read: each coalesced run is written whole, its gap vertices as
+  /// Value{}. For stores whose entries outside the written vertices are
+  /// never read (the §4e broadcast captures).
   void scatter(std::span<const VertexId> vertices,
                std::span<const Value> values) {
     MLVC_CHECK(vertices.size() == values.size());
@@ -123,8 +137,6 @@ class VertexValueStore {
       const VertexId vb = vertices[first];
       const VertexId ve = vertices[last];
       std::vector<Value> span_buf(ve - vb + 1);
-      blob_->read(static_cast<std::uint64_t>(vb) * sizeof(Value),
-                  span_buf.data(), span_buf.size() * sizeof(Value));
       for (std::size_t i = first; i <= last; ++i) {
         span_buf[vertices[i] - vb] = values[i];
       }

@@ -247,8 +247,13 @@ GroupedLog<Message> scatter_group_combine(std::span<const std::byte> bytes,
   const std::size_t width =
       static_cast<std::size_t>(range_end - range_begin);
   const std::byte* base = bytes.data();
-  const auto bounds =
-      chunk_bounds(n, kScatterChunkRecords, hardware_threads());
+  // Fixed-size units, as chunk_units cuts v2: the thread count does not
+  // move the merge order of a float combine.
+  std::vector<std::size_t> bounds;
+  for (std::size_t off = 0; off < n; off += kScatterChunkRecords) {
+    bounds.push_back(off);
+  }
+  bounds.push_back(n);
   const std::size_t n_chunks = bounds.size() - 1;
 
   std::vector<std::uint32_t> hist(n_chunks * width, 0);

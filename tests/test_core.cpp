@@ -42,7 +42,7 @@ TEST(VertexValueStore, GatherScatterRoundTrip) {
   store.scatter(ids, vals);
   const auto back = store.gather(ids);
   EXPECT_EQ(back, vals);
-  // Untouched vertices keep their init value.
+  // Gap vertices inside a written run read Value{}.
   EXPECT_EQ(store.gather(std::vector<VertexId>{4})[0], 0.0f);
 }
 

@@ -130,6 +130,42 @@ TEST_P(DeterminismMatrix, Bfs) {
   determinism_matrix(apps::Bfs{.source = 0}, GetParam());
 }
 
+// The v1 combine scatter cuts a group's log into fixed-size units, so the
+// float merge order of PageRank's sums does not follow the thread count.
+// Scale 13 x 16 edges at a 1 MiB budget puts more than one unit of records
+// in each interval's log.
+TEST(V1CombineDeterminism, PageRankValuesIndependentOfThreadCount) {
+  ScopedEnv format("MLVC_FORMAT", "v1");
+  ScopedEnv direction("MLVC_DIRECTION", "push");
+  ScopedEnv schedule("MLVC_SCHEDULE", "bsp");
+  graph::RmatParams p;
+  p.scale = 13;
+  p.edge_factor = 16;
+  p.seed = 43;
+  const auto csr = graph::CsrGraph::from_edge_list(graph::generate_rmat(p));
+  apps::PageRank app;
+  app.threshold = 0.01f;
+  const auto hash_at = [&](unsigned threads) {
+    ThreadCount pinned(threads);
+    auto opts = testing_options();
+    opts.memory_budget_bytes = 1_MiB;
+    opts.max_supersteps = 6;
+    // Serial: the grouping runs on the thread whose team size is pinned.
+    opts.io_threads = 0;
+    opts.on_disk_format = OnDiskFormat::kV1;
+    ssd::TempDir dir("determinism_v1");
+    ssd::DeviceConfig device;
+    device.page_size = 4_KiB;
+    ssd::Storage storage(dir.path(), device);
+    graph::StoredCsrGraph stored(
+        storage, "g", csr, core::partition_for_app<apps::PageRank>(csr, opts));
+    core::MultiLogVCEngine<apps::PageRank> engine(stored, app, opts);
+    engine.run();
+    return metrics::streamed_values_hash(engine);
+  };
+  EXPECT_EQ(hash_at(1), hash_at(4));
+}
+
 INSTANTIATE_TEST_SUITE_P(Threads, DeterminismMatrix,
                          ::testing::Values(1u, 4u),
                          [](const auto& info) {

@@ -204,6 +204,69 @@ TEST(DirectionFallback, CombineDisabledFallsBackToPush) {
   EXPECT_FALSE(r.stats.direction_fallback.empty());
 }
 
+// ---- the broadcast table ---------------------------------------------------
+//
+// A superstep that pulls reads its captured broadcasts once, into a
+// V x sizeof(Message) table charged to the sort slice (X% = 3/4 of the
+// budget). R-MAT scale 14 makes a 64 KiB table for 4-byte messages.
+
+constexpr std::uint64_t kTableBytes = (std::uint64_t{1} << 14) * 4;
+
+/// Between a quarter of the budget and the sort slice: the table fits.
+/// Captures are written without a read and each superstep gathers the
+/// table at most once, so pull reads at most one table per superstep more
+/// value bytes than push.
+template <core::VertexApp App>
+void table_inside_sort_slice(App app) {
+  const auto csr = direction_graph(14, 5);
+  auto opts = direction_opts();
+  opts.memory_budget_bytes = 192_KiB;
+  ASSERT_GT(kTableBytes, opts.memory_budget_bytes / 4);
+  ASSERT_LE(kTableBytes, opts.sort_budget());
+  opts.direction = DirectionMode::kPush;
+  const auto push = run(csr, app, opts);
+  const std::uint64_t push_reads =
+      push.stats.category_bytes(ssd::IoCategory::kVertexValue).bytes_read;
+  for (DirectionMode dir : {DirectionMode::kPull, DirectionMode::kAdaptive}) {
+    SCOPED_TRACE(to_string(dir));
+    opts.direction = dir;
+    const auto r = run(csr, app, opts);
+    EXPECT_EQ(r.stats.direction, to_string(dir));
+    EXPECT_GT(r.stats.intervals_pulled(), 0u);
+    EXPECT_EQ(r.values, push.values);
+    EXPECT_LE(
+        r.stats.category_bytes(ssd::IoCategory::kVertexValue).bytes_read,
+        push_reads + r.stats.supersteps.size() * kTableBytes)
+        << "push read " << push_reads << " B in "
+        << push.stats.supersteps.size() << " supersteps, this run "
+        << r.stats.supersteps.size();
+  }
+}
+
+TEST(DirectionTable, BfsReadsBroadcastsOncePerSuperstep) {
+  table_inside_sort_slice(apps::Bfs{.source = 3});
+}
+
+TEST(DirectionTable, WccReadsBroadcastsOncePerSuperstep) {
+  table_inside_sort_slice(apps::Wcc{});
+}
+
+TEST(DirectionFallback, TableLargerThanSortSliceFallsBackToPush) {
+  const auto csr = direction_graph(14, 5);
+  apps::Wcc app;
+  auto opts = direction_opts();
+  opts.memory_budget_bytes = 80_KiB;  // the smallest whose A% holds a page
+  ASSERT_GT(kTableBytes, opts.sort_budget());
+  const auto push = run(csr, app, opts);
+  opts.direction = DirectionMode::kPull;
+  const auto r = run(csr, app, opts);
+  EXPECT_EQ(r.stats.direction, "push");
+  EXPECT_NE(r.stats.direction_fallback.find("table"), std::string::npos)
+      << r.stats.direction_fallback;
+  EXPECT_EQ(r.stats.intervals_pulled(), 0u);
+  EXPECT_EQ(r.values, push.values);
+}
+
 // ---- density counting primitives (the heuristic's inputs) ------------------
 
 TEST(DensityCounting, ActiveSetCountInRangeEdgeCases) {

@@ -234,9 +234,12 @@ graph::CsrGraph property_graph(std::uint64_t seed) {
 }
 
 /// Every grouping path must yield the same values on the serial and the
-/// pipelined engine, with combine enabled and disabled.
+/// pipelined engine, with combine enabled and disabled. Pinned to push: the
+/// path counters assert on grouped log input, and a pulled interval's input
+/// is gathered, not grouped.
 template <core::VertexApp App, typename Cmp>
 void path_matrix(const graph::CsrGraph& csr, App app, Cmp&& compare) {
+  ScopedEnv push("MLVC_DIRECTION", "push");
   for (const bool pipeline : {false, true}) {
     for (const bool combine : {true, false}) {
       auto base = testing_options();
