@@ -146,12 +146,13 @@ void sort_group_path_bench(benchmark::State& state, SortGroupPath policy) {
   for (auto _ : state) {
     if (combine) {
       auto g = multilog::sort_and_group<std::uint32_t>(
-          span, 0, end, policy,
+          span, OnDiskFormat::kV1, 0, end, policy,
           [](std::uint32_t a, std::uint32_t b) { return a + b; });
       taken = g.path;
       benchmark::DoNotOptimize(g.records.data());
     } else {
-      auto g = multilog::sort_and_group<std::uint32_t>(span, 0, end, policy);
+      auto g = multilog::sort_and_group<std::uint32_t>(
+          span, OnDiskFormat::kV1, 0, end, policy);
       taken = g.path;
       benchmark::DoNotOptimize(g.records.data());
     }

@@ -936,24 +936,19 @@ class MultiLogVCEngine {
     const VertexId ve = graph_.intervals().end(g_end - 1);
     multilog::GroupedLog<Message> grouped;
     bool combined = false;
-    const bool v2 = options_.on_disk_format == OnDiskFormat::kV2;
     if constexpr (App::kHasCombine) {
       if (options_.enable_combine) {
-        const auto combine = [this](const Message& a, const Message& b) {
-          return app_.combine(a, b);
-        };
-        grouped = v2 ? multilog::sort_and_group_v2<Message>(
-                           bytes, vb, ve, options_.sort_group_path, combine)
-                     : multilog::sort_and_group<Message>(
-                           bytes, vb, ve, options_.sort_group_path, combine);
+        grouped = multilog::sort_and_group<Message>(
+            bytes, options_.on_disk_format, vb, ve, options_.sort_group_path,
+            [this](const Message& a, const Message& b) {
+              return app_.combine(a, b);
+            });
         combined = true;
       }
     }
     if (!combined) {
-      grouped = v2 ? multilog::sort_and_group_v2<Message>(
-                         bytes, vb, ve, options_.sort_group_path)
-                   : multilog::sort_and_group<Message>(
-                         bytes, vb, ve, options_.sort_group_path);
+      grouped = multilog::sort_and_group<Message>(
+          bytes, options_.on_disk_format, vb, ve, options_.sort_group_path);
     }
     g.records = std::move(grouped.records);
     g.offsets = std::move(grouped.offsets);

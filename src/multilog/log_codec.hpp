@@ -216,7 +216,7 @@ void for_each_chunk_dst(const std::uint8_t* chunk, const LogChunkHeader& h,
 
 /// Inverse of encode_log_records over a whole (healthy) stream: expand
 /// chunks back to fixed-width records, appended to `out`. Used by the
-/// checkpoint transcoder and the comparison-sort fallback.
+/// checkpoint transcoder.
 inline void decode_chunks_to_records(std::span<const std::byte> chunks,
                                      std::size_t record_size,
                                      bool payload_varint,

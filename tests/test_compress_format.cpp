@@ -474,8 +474,10 @@ TEST(SortGroupV2, MatchesV1OnBothPaths) {
 
   for (const auto path :
        {SortGroupPath::kCountingScatter, SortGroupPath::kComparisonSort}) {
-    auto a = multilog::sort_and_group<std::uint32_t>(v1_bytes, lo, hi, path);
-    auto b = multilog::sort_and_group_v2<std::uint32_t>(v2_bytes, lo, hi, path);
+    auto a = multilog::sort_and_group<std::uint32_t>(
+        v1_bytes, OnDiskFormat::kV1, lo, hi, path);
+    auto b = multilog::sort_and_group<std::uint32_t>(
+        v2_bytes, OnDiskFormat::kV2, lo, hi, path);
     ASSERT_EQ(a.decoded, n);
     ASSERT_EQ(b.decoded, n);
     ASSERT_EQ(a.offsets, b.offsets) << "path " << static_cast<int>(path);
@@ -506,10 +508,10 @@ TEST(SortGroupV2, MatchesV1WithCombine) {
 
   for (const auto path :
        {SortGroupPath::kCountingScatter, SortGroupPath::kComparisonSort}) {
-    const auto a =
-        multilog::sort_and_group<std::uint32_t>(v1_bytes, lo, hi, path, sum);
-    const auto b =
-        multilog::sort_and_group_v2<std::uint32_t>(v2_bytes, lo, hi, path, sum);
+    const auto a = multilog::sort_and_group<std::uint32_t>(
+        v1_bytes, OnDiskFormat::kV1, lo, hi, path, sum);
+    const auto b = multilog::sort_and_group<std::uint32_t>(
+        v2_bytes, OnDiskFormat::kV2, lo, hi, path, sum);
     // Combine is associative+commutative on u32 (wrapping sum), so both
     // formats must collapse to exactly one identical record per live dst.
     ASSERT_EQ(a.records.size(), b.records.size())

@@ -314,7 +314,8 @@ TEST(TornPage, SortGroupOnTruncatedBufferMatchesCleanRecords) {
   const std::span<const std::byte> healthy(bytes.data(), keep);
   for (const auto path :
        {SortGroupPath::kCountingScatter, SortGroupPath::kComparisonSort}) {
-    const auto grouped = multilog::sort_and_group<Msg>(healthy, 0, 64, path);
+    const auto grouped = multilog::sort_and_group<Msg>(
+        healthy, OnDiskFormat::kV1, 0, 64, path);
     EXPECT_EQ(grouped.decoded, recs.size());
   }
 }

@@ -102,6 +102,8 @@ void expect_fold_keeps_values(const graph::CsrGraph& csr, App app) {
 }
 
 TEST(LogFold, BfsValuesBitIdenticalWithCombineOnAndOff) {
+  // Pinned to push: a pulled interval makes no produce-side fold.
+  ScopedEnv push("MLVC_DIRECTION", "push");
   const auto csr = fold_graph();
   expect_fold_keeps_values(csr, apps::Bfs{.source = 0});
   ThreadCount pinned(many_threads());
@@ -110,6 +112,8 @@ TEST(LogFold, BfsValuesBitIdenticalWithCombineOnAndOff) {
 }
 
 TEST(LogFold, WccValuesBitIdenticalWithCombineOnAndOff) {
+  // Pinned to push: a pulled interval makes no produce-side fold.
+  ScopedEnv push("MLVC_DIRECTION", "push");
   const auto csr = fold_graph();
   expect_fold_keeps_values(csr, apps::Wcc{});
   ThreadCount pinned(many_threads());
@@ -245,6 +249,8 @@ TEST(LogFold, AsyncSsspCheckpointResumeReproducesUninterruptedRun) {
 }
 
 TEST(LogFold, RunStatsAndJsonReportTheFold) {
+  // Pinned to push: a pulled interval makes no produce-side fold.
+  ScopedEnv push("MLVC_DIRECTION", "push");
   const auto csr = fold_graph(10);
   const auto run =
       run_fold(csr, apps::Wcc{}, fold_options(/*combine=*/true));

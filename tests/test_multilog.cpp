@@ -1081,11 +1081,15 @@ TEST(SortGroup, GroupsAreContiguousAndComplete) {
   }
   sort_records(records);
   std::map<VertexId, std::size_t> seen;
-  for_each_group(std::span<const TestRecord>(records),
-                 [&](VertexId dst, std::span<const TestRecord> group) {
-                   EXPECT_EQ(seen.count(dst), 0u) << "group visited twice";
-                   seen[dst] = group.size();
-                 });
+  const auto offsets = group_offsets(std::span<const TestRecord>(records));
+  for (std::size_t g = 0; g + 1 < offsets.size(); ++g) {
+    const VertexId dst = records[offsets[g]].dst;
+    for (std::size_t i = offsets[g]; i < offsets[g + 1]; ++i) {
+      EXPECT_EQ(records[i].dst, dst) << "group not contiguous";
+    }
+    EXPECT_EQ(seen.count(dst), 0u) << "group visited twice";
+    seen[dst] = offsets[g + 1] - offsets[g];
+  }
   EXPECT_EQ(seen, expected);
 }
 
@@ -1129,12 +1133,14 @@ TEST_P(CombineEquivalence, SumsMatch) {
                  [](std::uint32_t a, std::uint32_t b) { return a + b; });
 
   std::map<VertexId, std::uint64_t> by_group;
-  for_each_group(std::span<const TestRecord>(records),
-                 [&](VertexId dst, std::span<const TestRecord> group) {
-                   std::uint64_t sum = 0;
-                   for (const auto& r : group) sum += r.payload;
-                   by_group[dst] = sum;
-                 });
+  const auto offsets = group_offsets(std::span<const TestRecord>(records));
+  for (std::size_t g = 0; g + 1 < offsets.size(); ++g) {
+    std::uint64_t sum = 0;
+    for (std::size_t i = offsets[g]; i < offsets[g + 1]; ++i) {
+      sum += records[i].payload;
+    }
+    by_group[records[offsets[g]].dst] = sum;
+  }
   for (const auto& rec : combined) {
     EXPECT_EQ(by_group.at(rec.dst), rec.payload);
   }

@@ -60,7 +60,9 @@ core::RunStats run_graphchi(const graph::CsrGraph& csr, App app,
 TEST(PerformanceProperties, MlvcIoTracksActivity) {
   // The core claim: MultiLogVC's per-superstep page traffic shrinks with
   // the active set. Compare the busiest superstep against the last
-  // "real" one (BFS tail): at least a 5x decline.
+  // "real" one (BFS tail): at least a 5x decline. Pinned to push, the
+  // paper's model: a forced pull sweeps the whole transpose every superstep.
+  ScopedEnv push("MLVC_DIRECTION", "push");
   const auto csr = perf_graph();
   const auto stats = run_mlvc(csr, apps::Bfs{.source = 0});
   ASSERT_GE(stats.supersteps.size(), 4u);

@@ -12,6 +12,7 @@
 // must not depend on the grouping path.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstring>
 #include <map>
 #include <set>
@@ -33,10 +34,23 @@ namespace {
 
 using TestRecord = multilog::Record<std::uint32_t>;
 
-std::vector<std::byte> encode(const std::vector<TestRecord>& records) {
-  std::vector<std::byte> bytes(records.size() * sizeof(TestRecord));
+constexpr OnDiskFormat kFormats[] = {OnDiskFormat::kV1, OnDiskFormat::kV2};
+
+/// A log of `records` as `format` stores it: raw records (v1) or
+/// delta+varint chunks (v2).
+template <typename Message>
+std::vector<std::byte> encode(
+    const std::vector<multilog::Record<Message>>& records,
+    OnDiskFormat format) {
+  constexpr std::size_t kRec = sizeof(multilog::Record<Message>);
+  std::vector<std::byte> bytes(records.size() * kRec);
   if (!bytes.empty()) std::memcpy(bytes.data(), records.data(), bytes.size());
-  return bytes;
+  if (format == OnDiskFormat::kV1) return bytes;
+  std::vector<std::uint8_t> chunks;
+  multilog::encode_log_records(bytes.data(), records.size(), kRec,
+                               multilog::kPayloadVarint<Message>, chunks);
+  const auto* p = reinterpret_cast<const std::byte*>(chunks.data());
+  return {p, p + chunks.size()};
 }
 
 std::vector<TestRecord> random_log(std::uint64_t seed, std::size_t n,
@@ -62,13 +76,14 @@ DstMultisets by_destination(const multilog::GroupedLog<std::uint32_t>& g) {
 
 /// The two paths must agree on everything except intra-group record order
 /// (unspecified by contract: inboxes are multisets).
-void expect_equivalent(const std::vector<TestRecord>& log, VertexId begin,
-                       VertexId end) {
-  const auto bytes = encode(log);
+void expect_equivalent(const std::vector<TestRecord>& log, OnDiskFormat format,
+                       VertexId begin, VertexId end) {
+  SCOPED_TRACE(to_string(format));
+  const auto bytes = encode(log, format);
   const auto scatter = multilog::sort_and_group<std::uint32_t>(
-      bytes, begin, end, SortGroupPath::kCountingScatter);
+      bytes, format, begin, end, SortGroupPath::kCountingScatter);
   const auto cmp = multilog::sort_and_group<std::uint32_t>(
-      bytes, begin, end, SortGroupPath::kComparisonSort);
+      bytes, format, begin, end, SortGroupPath::kComparisonSort);
   ASSERT_EQ(scatter.path, SortGroupPath::kCountingScatter);
   ASSERT_EQ(cmp.path, SortGroupPath::kComparisonSort);
   EXPECT_EQ(scatter.decoded, log.size());
@@ -86,9 +101,9 @@ void expect_equivalent(const std::vector<TestRecord>& log, VertexId begin,
   // destination; u32 sums are exact, so the results match bit-for-bit.
   const auto sum = [](std::uint32_t a, std::uint32_t b) { return a + b; };
   const auto scatter_c = multilog::sort_and_group<std::uint32_t>(
-      bytes, begin, end, SortGroupPath::kCountingScatter, sum);
+      bytes, format, begin, end, SortGroupPath::kCountingScatter, sum);
   const auto cmp_c = multilog::sort_and_group<std::uint32_t>(
-      bytes, begin, end, SortGroupPath::kComparisonSort, sum);
+      bytes, format, begin, end, SortGroupPath::kComparisonSort, sum);
   EXPECT_EQ(scatter_c.offsets, cmp_c.offsets);
   ASSERT_EQ(scatter_c.records.size(), cmp_c.records.size());
   for (std::size_t i = 0; i < scatter_c.records.size(); ++i) {
@@ -104,12 +119,17 @@ class SortGroupScatterProperty : public ::testing::TestWithParam<std::uint64_t> 
 
 TEST_P(SortGroupScatterProperty, MatchesComparisonPath) {
   SplitMix64 seeds(GetParam());
-  for (int round = 0; round < 6; ++round) {
-    const std::size_t n = 1 + seeds.next_below(20000);
+  for (int round = 0; round < 8; ++round) {
+    // The last two rounds span three whole 32 K-record units plus a few
+    // records, so the scatters cross unit boundaries.
+    const std::size_t n =
+        round < 6 ? 1 + seeds.next_below(20000) : 3 * 32'768 + 7;
     const VertexId width = 1 + static_cast<VertexId>(seeds.next_below(4096));
     const VertexId begin = static_cast<VertexId>(seeds.next_below(1u << 20));
-    expect_equivalent(random_log(seeds.next(), n, begin, width), begin,
-                      begin + width);
+    const auto log = random_log(seeds.next(), n, begin, width);
+    for (const auto format : kFormats) {
+      expect_equivalent(log, format, begin, begin + width);
+    }
   }
 }
 
@@ -117,9 +137,9 @@ INSTANTIATE_TEST_SUITE_P(Seeds, SortGroupScatterProperty,
                          ::testing::Values(1, 2, 7, 19, 42));
 
 TEST(SortGroupScatter, EmptyLog) {
-  expect_equivalent({}, 100, 200);
+  for (const auto format : kFormats) expect_equivalent({}, format, 100, 200);
   const auto g = multilog::sort_and_group<std::uint32_t>(
-      {}, 100, 200, SortGroupPath::kCountingScatter);
+      {}, OnDiskFormat::kV1, 100, 200, SortGroupPath::kCountingScatter);
   EXPECT_TRUE(g.records.empty());
   EXPECT_EQ(g.offsets, std::vector<std::size_t>{0});
   EXPECT_EQ(g.decoded, 0u);
@@ -128,10 +148,11 @@ TEST(SortGroupScatter, EmptyLog) {
 TEST(SortGroupScatter, SingleDestinationLog) {
   std::vector<TestRecord> log;
   for (std::uint32_t i = 0; i < 5000; ++i) log.push_back({77, i});
-  expect_equivalent(log, 50, 150);
+  expect_equivalent(log, OnDiskFormat::kV1, 50, 150);
   // Scatter keeps append order within the group (stable counting sort).
   const auto g = multilog::sort_and_group<std::uint32_t>(
-      encode(log), 50, 150, SortGroupPath::kCountingScatter);
+      encode(log, OnDiskFormat::kV1), OnDiskFormat::kV1, 50, 150,
+      SortGroupPath::kCountingScatter);
   ASSERT_EQ(g.records.size(), 5000u);
   EXPECT_EQ(g.offsets, (std::vector<std::size_t>{0, 5000}));
   for (std::uint32_t i = 0; i < 5000; ++i) {
@@ -146,19 +167,20 @@ TEST(SortGroupScatter, DuplicateDestinationFlood) {
     log.push_back({static_cast<VertexId>(rng.next_below(3)),
                    static_cast<std::uint32_t>(i)});
   }
-  expect_equivalent(log, 0, 64);
+  for (const auto format : kFormats) expect_equivalent(log, format, 0, 64);
 }
 
 TEST(SortGroupScatter, WidthOne) {
   std::vector<TestRecord> log;
   for (std::uint32_t i = 0; i < 100; ++i) log.push_back({9, i});
-  expect_equivalent(log, 9, 10);
+  for (const auto format : kFormats) expect_equivalent(log, format, 9, 10);
 }
 
 TEST(SortGroupScatter, AutoPicksScatterForDenseLogs) {
   const auto log = random_log(1, 10000, 0, 256);
   const auto g = multilog::sort_and_group<std::uint32_t>(
-      encode(log), 0, 256, SortGroupPath::kAuto);
+      encode(log, OnDiskFormat::kV1), OnDiskFormat::kV1, 0, 256,
+      SortGroupPath::kAuto);
   EXPECT_EQ(g.path, SortGroupPath::kCountingScatter);
 }
 
@@ -166,23 +188,60 @@ TEST(SortGroupScatter, AutoFallsBackForNearlyEmptyWideLogs) {
   // A tail-superstep log: a handful of records over a huge vertex range.
   const auto log = random_log(2, 8, 0, 1u << 20);
   const auto g = multilog::sort_and_group<std::uint32_t>(
-      encode(log), 0, 1u << 20, SortGroupPath::kAuto);
+      encode(log, OnDiskFormat::kV1), OnDiskFormat::kV1, 0, 1u << 20,
+      SortGroupPath::kAuto);
   EXPECT_EQ(g.path, SortGroupPath::kComparisonSort);
-  expect_equivalent(log, 0, 1u << 20);
+  expect_equivalent(log, OnDiskFormat::kV1, 0, 1u << 20);
+}
+
+/// A float sum folds in unit order, in rounds of at most one row per
+/// thread: ten units (more than any tested team) fold in several rounds,
+/// and the combined records must keep the same bits at every team size.
+TEST(SortGroupScatter, FloatCombineBitIdenticalAcrossThreadCounts) {
+  using FloatRecord = multilog::Record<float>;
+  SplitMix64 rng(31);
+  std::vector<FloatRecord> log(9 * 32'768 + 7);
+  for (auto& r : log) {
+    // Magnitudes over 2^0..2^19, so the sums depend on their fold order.
+    r = {static_cast<VertexId>(rng.next_below(512)),
+         std::ldexp(static_cast<float>(rng.next_below(1u << 24)),
+                    static_cast<int>(rng.next_below(20)) - 24)};
+  }
+  const auto sum = [](float a, float b) { return a + b; };
+  for (const auto format : kFormats) {
+    SCOPED_TRACE(to_string(format));
+    const auto bytes = encode(log, format);
+    const auto group = [&](unsigned threads) {
+      ThreadCount team(threads);
+      return multilog::sort_and_group<float>(
+          bytes, format, 0, 512, SortGroupPath::kCountingScatter, sum);
+    };
+    const auto one = group(1);
+    ASSERT_EQ(one.records.size(), 512u);
+    for (const unsigned threads : {2u, 4u}) {
+      const auto many = group(threads);
+      ASSERT_EQ(many.records.size(), one.records.size());
+      EXPECT_EQ(std::memcmp(many.records.data(), one.records.data(),
+                            one.records.size() * sizeof(FloatRecord)),
+                0)
+          << threads << " threads";
+    }
+  }
 }
 
 // ---- corruption surfaces as typed errors, not UB ---------------------------
 
 TEST(SortGroupScatter, TornLogPageThrowsOnEveryPath) {
-  auto bytes = encode(random_log(3, 1000, 0, 64));
+  auto bytes = encode(random_log(3, 1000, 0, 64), OnDiskFormat::kV1);
   bytes.resize(bytes.size() - 3);  // torn mid-record
   for (auto path : {SortGroupPath::kAuto, SortGroupPath::kCountingScatter,
                     SortGroupPath::kComparisonSort}) {
-    EXPECT_THROW((multilog::sort_and_group<std::uint32_t>(bytes, 0, 64, path)),
+    EXPECT_THROW((multilog::sort_and_group<std::uint32_t>(
+                     bytes, OnDiskFormat::kV1, 0, 64, path)),
                  Error)
         << to_string(path);
     EXPECT_THROW((multilog::sort_and_group<std::uint32_t>(
-                     bytes, 0, 64, path,
+                     bytes, OnDiskFormat::kV1, 0, 64, path,
                      [](std::uint32_t a, std::uint32_t b) { return a + b; })),
                  Error)
         << to_string(path);
@@ -192,12 +251,14 @@ TEST(SortGroupScatter, TornLogPageThrowsOnEveryPath) {
 TEST(SortGroupScatter, OutOfRangeDestinationThrows) {
   auto log = random_log(4, 1000, 100, 64);
   log[500].dst = 9999;  // corrupt destination header
-  const auto bytes = encode(log);
+  const auto bytes = encode(log, OnDiskFormat::kV1);
   EXPECT_THROW((multilog::sort_and_group<std::uint32_t>(
-                   bytes, 100, 164, SortGroupPath::kCountingScatter)),
+                   bytes, OnDiskFormat::kV1, 100, 164,
+                   SortGroupPath::kCountingScatter)),
                Error);
   EXPECT_THROW((multilog::sort_and_group<std::uint32_t>(
-                   bytes, 100, 164, SortGroupPath::kCountingScatter,
+                   bytes, OnDiskFormat::kV1, 100, 164,
+                   SortGroupPath::kCountingScatter,
                    [](std::uint32_t a, std::uint32_t b) { return a + b; })),
                Error);
 }
